@@ -23,5 +23,5 @@ from .matchings import (Matching, enumerate_matchings, weigh_matching,
                         inner_outer_consistency, BudgetExceeded,
                         DEFAULT_BUDGET)
 from .tpaths import (TPath, enumerate_tpaths, tpath_weight, tpath_sum,
-                     phi_bijection)
+                     weighted_tpaths, phi_bijection)
 from .cli import main, dispatch, parse_quiddity_text, render_svg

@@ -20,7 +20,7 @@ from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (enumerate_matchings, weigh_matching, matching_sum,
                         growth_via_annulus_weight, inner_outer_consistency,
                         DEFAULT_BUDGET)
-from .tpaths import enumerate_tpaths, tpath_weight, tpath_sum, phi_bijection
+from .tpaths import weighted_tpaths, phi_bijection
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -190,13 +190,15 @@ def _cmd_tpaths(args, out):
     D = _load_dissection(args.input)
     ctx = quiddity_of(D).context
     i, j = args.from_, args.to
+    total = ctx.zero()
     count = 0
-    for path in enumerate_tpaths(D, i, j, args.kind):
+    for path, wt in weighted_tpaths(D, i, j, args.kind, ctx):
+        total = total + wt
         count += 1
         route = " ".join("%d->%d" % st for st in path.steps)
-        out.write("%-40s %s\n" % (route, format_elem(tpath_weight(D, path, ctx))))
+        out.write("%-40s %s\n" % (route, format_elem(wt)))
     out.write("paths: %d\n" % count)
-    out.write("sum: %s\n" % format_elem(tpath_sum(D, i, j, args.kind, ctx)))
+    out.write("sum: %s\n" % format_elem(total))
     if args.check_phi:
         mapping = phi_bijection(D, i, j)
         out.write("phi bijection verified on %d matchings\n" % len(mapping))

@@ -55,10 +55,6 @@ class QuiddityCycle:
         self.entries = tuple(
             sum((context.lam(p) for p in a), context.zero()) for a in self.A)
 
-    def multiset_at(self, i):
-        """Multiset at 1-based cyclic position i."""
-        return self.A[(i - 1) % self.n]
-
     def entry_at(self, i):
         """Derived ring value at 1-based cyclic position i."""
         return self.entries[(i - 1) % self.n]

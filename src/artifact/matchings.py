@@ -7,9 +7,16 @@ coordinate a-1 plus multiples of the period).  Summing the local weight
 recovers the frieze entry; the traditional weight is its nonnegative
 sibling; the annulus weight of full-period matchings recovers growth
 coefficients.
+
+``matching_sum`` adds the weights up without listing the matchings (a
+transfer-matrix pass over the window positions); ``enumerate_matchings``
+with ``weigh_matching`` is the brute force it is tested against.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import prod
 
 from .ring import chebyshev_u
@@ -62,10 +69,7 @@ def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
     lists = _choice_lists(W, i, j)
     if prod(len(c) for c in lists) > budget:
         raise BudgetExceeded("more than %d matchings" % budget)
-    stack = [()]
-    for options in lists:
-        stack = [partial + (opt,) for partial in stack for opt in options]
-    for combo in stack:
+    for combo in product(*lists):
         yield Matching(i, j, combo)
 
 
@@ -94,38 +98,29 @@ def weigh_matching(w, mode, D, ctx=None):
     if src.is_quotient():
         raise ValueError("mode %r is defined only for ordinary dissections"
                          % mode)
-    if mode == "traditional":
-        counts = {}
-        for key, fid, _t in w.choice:
-            counts[key] = (counts.get(key, (0, fid))[0] + 1, fid)
-        total = ctx.one()
-        for k, fid in counts.values():
-            p = base.face(fid).size
-            if k > p - 2:
-                return ctx.zero()
-            total = total * chebyshev_u(ctx, k, ctx.lam(p))
-        return total
-    if mode == "annulus":
-        n = base.surface.n
-        if len(w.choice) != n:
-            raise ValueError("annulus weighting needs a full-period matching")
-        counts = {}
-        for _key, fid, _t in w.choice:
-            counts[fid] = counts.get(fid, 0) + 1
-        total = ctx.one()
-        for fid, k in counts.items():
-            p = base.face(fid).size
-            if k > p - 2:
-                return ctx.zero()
-            total = total * chebyshev_u(ctx, k, ctx.lam(p))
-        return total
-    raise ValueError("unknown weighting mode %r" % mode)
+    if mode not in ("traditional", "annulus"):
+        raise ValueError("unknown weighting mode %r" % mode)
+    if mode == "annulus" and len(w.choice) != base.surface.n:
+        raise ValueError("annulus weighting needs a full-period matching")
+    counts = {}
+    for key, fid, _t in w.choice:
+        face = key if mode == "traditional" else fid
+        counts[face] = (counts.get(face, (0, fid))[0] + 1, fid)
+    total = ctx.one()
+    for k, fid in counts.values():
+        p = base.face(fid).size
+        if k > p - 2:
+            return ctx.zero()
+        total = total * chebyshev_u(ctx, k, ctx.lam(p))
+    return total
 
 
 def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET, ctx=None):
     """Exact ring sum of weights over all matchings contributing to
-    m_{i,j}.  Traditional and annulus modes prune branches whose running
-    face multiplicities already force weight zero."""
+    m_{i,j}.  One pass over the window positions keeps the partial sums
+    of equal states merged, so the cost is about linear in the window
+    length instead of in the number of matchings; ``budget`` still caps
+    that number, as for the enumeration."""
     src = _source(W)
     if ctx is None:
         ctx = _context_of(src)
@@ -133,7 +128,9 @@ def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET, ctx=None):
         raise ValueError("need j >= i")
     if j == i:
         return ctx.zero()
-    if mode in ("traditional", "annulus") and src.is_quotient():
+    if mode not in ("local", "traditional", "annulus"):
+        raise ValueError("unknown weighting mode %r" % mode)
+    if mode != "local" and src.is_quotient():
         raise ValueError("mode %r is defined only for ordinary dissections"
                          % mode)
     if mode == "annulus" and j - i - 1 != src.base.surface.n:
@@ -141,41 +138,65 @@ def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET, ctx=None):
     lists = _choice_lists(W, i, j)
     if prod(len(c) for c in lists) > budget:
         raise BudgetExceeded("more than %d matchings" % budget)
-    base = src.base
-    sizes = {f.id: f.size for f in base.base_faces}
+    sizes = {f.id: f.size for f in src.base.base_faces}
+
+    @lru_cache(maxsize=None)
+    def u(k, fid):
+        """U_k(lambda_p) for the size p of face fid."""
+        return chebyshev_u(ctx, k, ctx.lam(sizes[fid]))
 
     if mode == "local":
-        total = ctx.zero()
-        for w in enumerate_matchings(W, i, j, budget=budget):
-            total = total + weigh_matching(w, "local", W, ctx)
-        return total
+        return _local_sum(lists, u, ctx)
+    return _count_sum(lists, u, sizes, ctx, mode == "traditional")
 
-    # traditional / annulus: DFS with multiplicity counters
-    total = ctx.zero()
-    per_lift = mode == "traditional"
 
-    def rec(idx, counts, acc_keys):
-        nonlocal total
-        if idx == len(lists):
-            val = ctx.one()
-            for k2, fid in counts.values():
-                val = val * chebyshev_u(ctx, k2, ctx.lam(sizes[fid]))
-            total = total + val
-            return
-        for key, fid, t in lists[idx]:
-            ck = key if per_lift else fid
-            k2, _f = counts.get(ck, (0, fid))
-            if k2 + 1 > sizes[fid] - 2:
-                continue
-            counts[ck] = (k2 + 1, fid)
-            rec(idx + 1, counts, acc_keys)
-            if k2 == 0:
-                del counts[ck]
-            else:
-                counts[ck] = (k2, fid)
+def _local_sum(lists, u, ctx):
+    """Local weights: a run of k equal class keys closes with the factor
+    U_k(lambda) of its face.  State (class key, fid, length of the open
+    run) -> sum of the products of the closed runs."""
+    states = {(None, None, 0): ctx.one()}
+    for options in lists:
+        nxt = defaultdict(ctx.zero)
+        for (key, fid, k), val in states.items():
+            closed = val * u(k, fid) if k else val
+            for key2, fid2, _t in options:
+                if key2 == key:
+                    nxt[key, fid2, k + 1] += val
+                else:
+                    nxt[key2, fid2, 1] += closed
+        states = nxt
+    return sum((val * u(k, fid) if k else val
+                for (_key, fid, k), val in states.items()), ctx.zero())
 
-    rec(0, {}, None)
-    return total
+
+def _count_sum(lists, u, sizes, ctx, per_lift):
+    """Traditional (per_lift: faces are lifted class keys) and annulus
+    (faces are base fids) weights: a face met k times has the factor
+    U_k(lambda_p), zero once k > p - 2.  State: frozenset of (face, k) for
+    the faces met so far that have a corner further on; the factor of a
+    face is multiplied in at its last corner in the window."""
+    last, fid_of = {}, {}
+    for idx, options in enumerate(lists):
+        for key, fid, _t in options:
+            face = key if per_lift else fid
+            last[face], fid_of[face] = idx, fid
+    states = defaultdict(ctx.zero, {frozenset(): ctx.one()})
+    for idx, options in enumerate(lists):
+        grown = defaultdict(ctx.zero)
+        for state, val in states.items():
+            counts = dict(state)
+            for key, fid, _t in options:
+                face = key if per_lift else fid
+                k = counts.get(face, 0) + 1
+                if k <= sizes[fid] - 2:
+                    grown[state - {(face, k - 1)} | {(face, k)}] += val
+        states = defaultdict(ctx.zero)
+        for state, val in grown.items():
+            done = {(face, k) for face, k in state if last[face] == idx}
+            for face, k in done:
+                val = val * u(k, fid_of[face])
+            states[state - done] += val
+    return states[frozenset()]
 
 
 def growth_via_annulus_weight(D, k=1, budget=DEFAULT_BUDGET):

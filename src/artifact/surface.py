@@ -111,24 +111,6 @@ class Face:
     def top_coords(self):
         return [v[1] for v in self.verts if v[0] == "t"]
 
-    def edges_normalized(self, n, m):
-        """Edges projected to the base: each edge translated so that its
-        anchor coordinate lies in one fixed period."""
-        out = set()
-        k = len(self.verts)
-        for idx in range(k):
-            u, v = self.verts[idx], self.verts[(idx + 1) % k]
-            xs = [w[1] for w in (u, v) if w[0] == "b"]
-            if xs:
-                t = -(min(xs) // n)
-            else:
-                ys = [w[1] for w in (u, v) if w[0] == "t"]
-                t = -(min(ys) // m) if ys else 0
-            e = frozenset({_translate_vertex(u, t, n, m),
-                           _translate_vertex(v, t, n, m)})
-            out.add(e)
-        return out
-
 
 def _rotate_min(seq):
     """Lexicographically smallest rotation of a cyclic tuple."""
@@ -640,14 +622,10 @@ def quiddity_of(D, boundary="outer"):
 
 @dataclass
 class CoverWindow:
-    """A materialized range of strip copies of a dissection (or quotient)."""
+    """Copies k_lo..k_hi of the strip of a dissection (or quotient)."""
     dissection: object
     k_lo: int
     k_hi: int
-    lifts: tuple  # (fid, t) pairs with a vertex in the window
-
-    def face(self, fid):
-        return self.dissection.face(fid)
 
     def corner_choices(self, g, boundary="outer"):
         return self.dissection.corner_choices(g, boundary)
@@ -658,22 +636,11 @@ class CoverWindow:
 
 
 def cover_window(D, k_lo, k_hi):
-    """Materialize the lifted faces whose vertices meet copies
-    k_lo..k_hi of the strip."""
+    """The window on copies k_lo..k_hi of the strip; matchings over it
+    may only use outer coordinates it covers."""
     if k_lo > k_hi:
         raise ValueError("k_lo must be <= k_hi")
-    s = D.surface
-    n = s.n
-    lifts = []
-    for f in D.base_faces:
-        xs = f.bottom_coords()
-        lo, hi = min(xs), max(xs)
-        t = k_lo - hi // n - 1
-        while lo + t * n < (k_hi + 1) * n:
-            if hi + t * n >= k_lo * n:
-                lifts.append((f.id, t))
-            t += 1
-    return CoverWindow(D, k_lo, k_hi, tuple(sorted(lifts)))
+    return CoverWindow(D, k_lo, k_hi)
 
 
 # ---------------------------------------------------------------------------

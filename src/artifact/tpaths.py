@@ -92,6 +92,12 @@ class _PolygonGeometry:
         k = abs(vs.index(w) - vs.index(u)) - 1
         return chebyshev_u(ctx, k, ctx.lam(p))
 
+    def path_weight(self, ctx, path):
+        total = ctx.one()
+        for u, w in path.steps[::2]:
+            total = total * self.step_weight(ctx, u, w)
+        return total
+
     def crossed_arcs(self, i, j):
         """Arcs of the dissection crossing (v_i,v_j), ordered from v_i."""
         out = []
@@ -134,9 +140,22 @@ class _PolygonGeometry:
 
 def enumerate_tpaths(D, i, j, kind="weak"):
     """All T-paths from v_i to v_j (1-based vertex numbers, i != j)."""
+    yield from _tpaths(_PolygonGeometry(D), i, j, kind)
+
+
+def weighted_tpaths(D, i, j, kind="weak", ctx=None):
+    """(path, weight) for every T-path of ``enumerate_tpaths``, all on one
+    build of the dissection's tables."""
+    geo = _PolygonGeometry(D)
+    if ctx is None:
+        ctx = quiddity_of(D).context
+    for path in _tpaths(geo, i, j, kind):
+        yield path, geo.path_weight(ctx, path)
+
+
+def _tpaths(geo, i, j, kind):
     if i == j:
         raise ValueError("endpoints must be distinct")
-    geo = _PolygonGeometry(D)
     n = geo.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("vertex out of range")
@@ -195,23 +214,16 @@ def _complete_tpaths(geo, i, j, crossed):
 def tpath_weight(D, path, ctx=None):
     """Product of odd-step weights over even-step weights; even steps are
     arcs of the dissection (weight one), so no ring division happens."""
-    geo = _PolygonGeometry(D)
     if ctx is None:
         ctx = quiddity_of(D).context
-    total = ctx.one()
-    for idx, (u, w) in enumerate(path.steps):
-        if idx % 2 == 0:
-            total = total * geo.step_weight(ctx, u, w)
-    return total
+    return _PolygonGeometry(D).path_weight(ctx, path)
 
 
 def tpath_sum(D, i, j, kind="weak", ctx=None):
     if ctx is None:
         ctx = quiddity_of(D).context
-    total = ctx.zero()
-    for path in enumerate_tpaths(D, i, j, kind):
-        total = total + tpath_weight(D, path, ctx)
-    return total
+    return sum((wt for _path, wt in weighted_tpaths(D, i, j, kind, ctx)),
+               ctx.zero())
 
 
 def _left_counts(geo, i, j, path):
@@ -244,7 +256,7 @@ def phi_bijection(D, i, j):
     subgons = geo.crossed_subgons(i, j)
 
     paths = {}
-    for path in enumerate_tpaths(D, i, j, "complete"):
+    for path in _tpaths(geo, i, j, "complete"):
         key = _left_counts(geo, i, j, path)
         if key in paths:
             raise AssertionError("two complete T-paths share a left-count "
@@ -252,6 +264,7 @@ def phi_bijection(D, i, j):
         paths[key] = path
 
     mapping = {}
+    used = set()
     for w in enumerate_matchings(D, i, j):
         wt = weigh_matching(w, "traditional", D, ctx)
         if wt.is_zero():
@@ -264,11 +277,12 @@ def phi_bijection(D, i, j):
             raise AssertionError("no complete T-path matches occurrence "
                                  "vector %r" % (key,))
         path = paths[key]
-        if path in mapping.values():
+        if path in used:
             raise AssertionError("mapping is not injective")
-        if tpath_weight(D, path, ctx) != wt:
+        if geo.path_weight(ctx, path) != wt:
             raise AssertionError("weights differ across the bijection")
         mapping[w] = path
+        used.add(path)
     if len(mapping) != len(paths):
         raise AssertionError("mapping is not surjective")
     return mapping
