@@ -12,7 +12,7 @@ from .frieze import (QuiddityCycle, FriezeTable, quiddity_new,
 from .surface import (Surface, Arc, Dissection, QuotientDissection,
                       polygon, punctured_disc, annulus, build_dissection,
                       make_quotient, quiddity_of, cover_window,
-                      dissection_power, glue_ear, rotate_dissection,
+                      dissection_power, glue_ear, glue_ears, rotate_dissection,
                       format_dissection, parse_dissection_text)
 from .realize import (Classification, classify_realizability,
                       skeletal_realize, quotient_realize,

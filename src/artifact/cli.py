@@ -15,7 +15,7 @@ from .ring import format_elem
 from .frieze import (FriezeTable, format_quiddity, quiddity_new,
                      check_positivity, growth_coefficient)
 from .surface import (parse_dissection_text, format_dissection, quiddity_of,
-                      dissection_power)
+                      dissection_power, chords_cross)
 from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (enumerate_matchings, weigh_matching, matching_sum,
                         growth_via_annulus_weight, inner_outer_consistency,
@@ -242,13 +242,6 @@ def random_free_quiddity(rng, nmin=2, nmax=5, sizes=SIZES):
         for _ in range(n)])
 
 
-def _chords_cross(n, a, b, c, d):
-    if len({a, b, c, d}) < 4:
-        return False
-    inside = lambda x: (x - a) % n < (b - a) % n
-    return inside(c) != inside(d)
-
-
 def random_polygon_dissection(rng, nmin=4, nmax=9, max_arcs=8):
     from .surface import Arc, build_dissection, polygon
     n = rng.randint(nmin, nmax)
@@ -259,7 +252,7 @@ def random_polygon_dissection(rng, nmin=4, nmax=9, max_arcs=8):
     for a, b in cand:
         if len(arcs) >= max_arcs or rng.random() < 0.3:
             continue
-        if all(not _chords_cross(n, a, b, c, d) for c, d in
+        if all(not chords_cross(a, b, c, d) for c, d in
                ((x.a, x.b) for x in arcs)):
             arcs.append(Arc("diag", a, b))
     return build_dissection(polygon(n), arcs)

@@ -260,46 +260,47 @@ def cut(Q, i, p):
     all-lambda_p cycle has no cut.  The child keeps the original cyclic
     order, starting from the first surviving position.
     """
-    child, _info = _cut_with_info(Q, i, p)
-    return child
+    A, _info = _cut_multisets(Q.A, i, p)
+    return QuiddityCycle(A, Q.context)
 
 
-def _cut_with_info(Q, i, p):
-    n = Q.n
+def _cut_multisets(A, i, p):
+    """The cut of ``cut`` on a plain tuple of multisets.  Returns the
+    child's multisets and the step (g, p, r) of ``surface.glue_ears`` that
+    glues the ear back onto a witness of the child: insert it after the
+    left flank, v_g of the child, then relabel by r so that the parent's
+    first position leads again."""
+    n = len(A)
     if p < 3:
         raise ValueError("p must be >= 3")
     if n == p - 2:
         raise ValueError("cut undefined when n = p - 2")
     if n < p - 1:
         raise ValueError("period too small to cut a %d-ear" % p)
-    interval = [((i - 1 + t) % n) for t in range(p - 2)]  # 0-based positions
-    for pos in interval:
-        if Q.A[pos] != (p,):
-            raise ValueError("interval is not a constant {%d} run" % p)
-    left = (i - 2) % n
-    right = (i + p - 3) % n
-    new_A = {pos: list(Q.A[pos]) for pos in range(n) if pos not in interval}
-    for flank in (left, right):
-        if flank in interval:
-            raise ValueError("cut interval self-overlaps")
-        if p not in new_A[flank]:
+    first = (i - 1) % n           # 0-based; the interval is first..end-1 mod n
+    end = first + p - 2
+    if any(A[pos % n] != (p,) for pos in range(first, end)):
+        raise ValueError("interval is not a constant {%d} run" % p)
+    left = (first - 1) % n
+    right = end % n
+    if end <= n:
+        survivors = list(range(first)) + list(range(end, n))
+        child = list(A[:first] + A[end:])
+    else:
+        survivors = list(range(end - n, first))
+        child = list(A[end - n:first])
+    g = survivors.index(left)
+    for k in (g, survivors.index(right)):
+        entry = list(child[k])
+        if p not in entry:
             raise ValueError(
                 "flanking multiset lacks %d; cut would create an invalid entry" % p)
-        new_A[flank].remove(p)
-        if not new_A[flank]:
+        entry.remove(p)
+        if not entry:
             raise ValueError(
                 "flanking multiset exhausted; cut would create an invalid entry")
-    survivors = sorted(new_A)
-    child = QuiddityCycle([tuple(sorted(new_A[pos])) for pos in survivors],
-                          Q.context)
-    # bookkeeping for geometric re-gluing: where the left flank sits in the
-    # child, and which original position leads the child ordering
-    info = {
-        "p": p,
-        "glue_index": survivors.index(left) + 1,
-        "child_start_orig": survivors[0] + 1,
-    }
-    return child, info
+        child[k] = tuple(entry)
+    return tuple(child), (g + 1, p, -survivors[0])
 
 
 def glue(Q, p, i):
@@ -331,25 +332,29 @@ def singleton_runs(Q):
     cycle consisting entirely of {p} singletons yields the single run
     (1, n, p).
     """
-    n = Q.n
+    return _singleton_runs(Q.A)
+
+
+def _singleton_runs(A):
+    n = len(A)
     runs = []
-    is_single = [len(a) == 1 for a in Q.A]
-    if all(is_single) and len(set(Q.A)) == 1:
-        return [(1, n, Q.A[0][0])]
+    is_single = [len(a) == 1 for a in A]
+    if all(is_single) and len(set(A)) == 1:
+        return [(1, n, A[0][0])]
     covered = [False] * n
     for s in range(n):
         if not is_single[s] or covered[s]:
             continue
         prev = (s - 1) % n
-        if is_single[prev] and Q.A[prev] == Q.A[s]:
+        if is_single[prev] and A[prev] == A[s]:
             continue  # not the start of a maximal run
         length = 0
         pos = s
-        while is_single[pos] and Q.A[pos] == Q.A[s] and length < n:
+        while is_single[pos] and A[pos] == A[s] and length < n:
             covered[pos] = True
             length += 1
             pos = (pos + 1) % n
-        runs.append((s + 1, length, Q.A[s][0]))
+        runs.append((s + 1, length, A[s][0]))
     return runs
 
 
@@ -368,13 +373,18 @@ def realizability_test(Q):
     some p has a cyclic run of more than p-2 consecutive singleton-{p}
     entries while not every entry is {p}.
     """
-    n = Q.n
+    return _realizability_verdict(Q.A, _singleton_runs(Q.A))
+
+
+def _realizability_verdict(A, runs):
+    """The test on a plain tuple of multisets, given their singleton runs."""
+    n = len(A)
     for i in range(n):
-        if not set(Q.A[i]) & set(Q.A[(i + 1) % n]):
+        if not set(A[i]) & set(A[(i + 1) % n]):
             return TestVerdict(False, "empty_intersection", position=i + 1)
-    all_same_singleton = all(a == Q.A[0] and len(a) == 1 for a in Q.A)
+    all_same_singleton = all(a == A[0] and len(a) == 1 for a in A)
     if not all_same_singleton:
-        for start, length, p in singleton_runs(Q):
+        for start, length, p in runs:
             if length > p - 2:
                 return TestVerdict(False, "long_run", position=start, p=p)
     return TestVerdict(True)

@@ -4,8 +4,9 @@ The pipeline: a skeletal cycle passing the quiddity-level test is realized
 directly (punctured disc or annulus) by choosing a compatible subgon size
 p_{i,i+1} for every boundary gap and drawing the bridging arcs in the
 strip model; cycles where no compatible choice exists get a quotient
-witness; non-skeletal cycles are reduced by cutting ears and the witness
-is re-assembled by gluing the ears back geometrically.
+witness; non-skeletal cycles are reduced by cutting ears on the multisets
+alone, and the witness is re-assembled by gluing every ear back onto the
+core's dissection in one build.
 """
 
 from dataclasses import dataclass, field
@@ -15,10 +16,9 @@ from typing import Optional
 from .ring import sign_of
 from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
                      realizability_test, is_skeletal_quiddity,
-                     _cut_with_info, singleton_runs)
-from .surface import (Arc, Dissection, annulus, punctured_disc, polygon,
-                      build_dissection, make_quotient, quiddity_of,
-                      glue_ear, rotate_dissection)
+                     _realizability_verdict, _singleton_runs, _cut_multisets)
+from .surface import (Arc, annulus, punctured_disc, polygon,
+                      build_dissection, make_quotient, quiddity_of, glue_ears)
 
 
 # ---------------------------------------------------------------------------
@@ -279,54 +279,70 @@ class Classification:
         return self.kind != "unrealizable"
 
 
-def _constant_singleton(Q):
-    if all(len(a) == 1 and a == Q.A[0] for a in Q.A):
-        return Q.A[0][0]
+def _constant_singleton(A):
+    if all(len(a) == 1 and a == A[0] for a in A):
+        return A[0][0]
     return None
+
+
+def _reduce(A):
+    """Cut ears off a cycle of multisets until it fails the quiddity-level
+    test, is a constant singleton cycle, or is skeletal.  Each cut takes
+    the first singleton run of length >= p - 2 in the child's order and
+    shortens the cycle by p - 2, so the loop ends.
+
+    Returns (A, trace, steps, reason): the multisets left, the cut trace
+    [(start, p)], the ``glue_ears`` step undoing each cut, in cut order,
+    and the failure reason (None when the cycle left passes the test)."""
+    trace, steps = [], []
+    while True:
+        runs = _singleton_runs(A)
+        verdict = _realizability_verdict(A, runs)
+        run = next(((start, p) for start, length, p in runs
+                    if length >= p - 2), None)
+        if not verdict.ok or _constant_singleton(A) is not None or run is None:
+            return A, trace, steps, verdict.reason
+        # the test passed, so the run has length exactly p-2
+        try:
+            A, step = _cut_multisets(A, *run)
+        except ValueError:
+            return A, trace, steps, "cut_underflow"
+        trace.append(run)
+        steps.append(step)
 
 
 def classify_realizability(Q):
     """Decide how (and whether) a quiddity cycle is realizable, with a
     constructed witness and the ear-cut trace leading to the skeletal core."""
-    n0 = Q.n
-    result = _classify_rec(Q, depth=0)
+    return _classify(Q)[0]
+
+
+def _classify(Q):
+    """The classification of Q, its skeletal core (None when Q is
+    unrealizable) and the ``glue_ears`` steps from the core back to Q."""
+    A, trace, steps, reason = _reduce(Q.A)
+    steps.reverse()
+    if reason is not None:
+        return (Classification("unrealizable", reason=reason, cut_trace=trace),
+                None, steps)
+    core = QuiddityCycle(A, Q.context) if steps else Q
+    result = _classify_core(core)
+    result.cut_trace = trace
+    if steps:
+        result.witness = glue_ears(result.witness, steps)
+        s = result.witness.base.surface
+        result.n, result.m = s.n, (s.m if s.kind == "annulus" else None)
     if result.kind == "polygon":
-        result.n = n0
-    return result
+        result.n = Q.n
+    return result, core, steps
 
 
-def _classify_rec(Q, depth):
-    if depth > Q.n + 64:
-        raise AssertionError("cut recursion failed to terminate")
-    n = Q.n
-
-    verdict = realizability_test(Q)
-    if not verdict.ok:
-        return Classification("unrealizable", reason=verdict.reason)
-
-    p_const = _constant_singleton(Q)
+def _classify_core(Q):
+    """Classify a cycle that passes the test and has no ear left to cut."""
+    p_const = _constant_singleton(Q.A)
     if p_const is not None:
         witness = build_dissection(polygon(p_const), [])
-        return Classification("polygon", n=n, witness=witness)
-
-    if not is_skeletal_quiddity(Q):
-        start, length, p = next((s, ln, p) for s, ln, p in singleton_runs(Q)
-                                if ln >= p - 2)
-        # the test passed, so the run has length exactly p-2
-        try:
-            child, info = _cut_with_info(Q, start, p)
-        except ValueError:
-            return Classification("unrealizable", reason="cut_underflow")
-        sub = _classify_rec(child, depth + 1)
-        sub.cut_trace = [(start, p)] + sub.cut_trace
-        if not sub.realizable:
-            return sub
-        W = glue_ear(sub.witness, info["glue_index"], p)
-        W = rotate_dissection(W, -(info["child_start_orig"] - 1))
-        sub.witness = W
-        sub.n = W.base.surface.n
-        sub.m = W.base.surface.m if W.base.surface.kind == "annulus" else None
-        return sub
+        return Classification("polygon", n=Q.n, witness=witness)
 
     kind, D = skeletal_realize(Q)
     if kind == "no_valid_choice":
@@ -354,19 +370,8 @@ def witness_nonuniqueness_probe(Q):
     """One witness per clash-free gap-size assignment of the skeletal core
     (empty for polygon, quotient, and unrealizable cycles); each witness is
     re-assembled through the same cut trace."""
-    cls = classify_realizability(Q)
+    cls, core, steps = _classify(Q)
     if cls.kind not in ("punctured_disc", "annulus"):
         return []
-    core = Q
-    infos = []
-    for start, p in cls.cut_trace:
-        core, info = _cut_with_info(core, start, p)
-        infos.append((info, p))
-    out = []
-    for pchoice in valid_pchoices(core):
-        _kind, D = _construct(core, pchoice)
-        for info, p in reversed(infos):
-            D = glue_ear(D, info["glue_index"], p)
-            D = rotate_dissection(D, -(info["child_start_orig"] - 1))
-        out.append(D)
-    return out
+    return [glue_ears(_construct(core, pchoice)[1], steps)
+            for pchoice in valid_pchoices(core)]

@@ -126,6 +126,16 @@ def _rotate_min(seq):
 # chord-diagram face walk
 # ---------------------------------------------------------------------------
 
+def chords_cross(a, b, c, d):
+    """Do chords {a,b} and {c,d} of a convex polygon cross internally?
+    Vertices are numbered in cyclic order; chords sharing an endpoint do
+    not cross."""
+    if len({a, b, c, d}) < 4:
+        return False
+    lo, hi = min(a, b), max(a, b)
+    return (lo < c < hi) != (lo < d < hi)
+
+
 def _faces_of_chord_diagram(boundary, chords):
     """Faces of a convex polygon with non-crossing chords.
 
@@ -149,13 +159,22 @@ def _faces_of_chord_diagram(boundary, chords):
         if key in edge_set:
             raise ValueError("duplicate arc or arc parallel to a boundary edge")
         edge_set.add(key)
-        pu, pv = sorted((pos[u], pos[v]))
-        for (qa, qb) in spans:
-            if (pu < qa < pv < qb) or (qa < pu < qb < pv):
-                raise ValueError("crossing arcs")
-        spans.append((pu, pv))
+        pu, pv = pos[u], pos[v]
+        spans.append((pu, -pv) if pu < pv else (pv, -pu))
         adj[u].append(v)
         adj[v].append(u)
+    # as (left end, -right end) pairs, spans sort by left end and, for one
+    # left end, longest first; non-crossing spans then nest: the spans
+    # still open form a stack, and each new span must end inside the
+    # innermost one that has not closed before it starts
+    spans.sort()
+    open_ends = []
+    for lo, neg_hi in spans:
+        while open_ends and open_ends[-1] <= lo:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < -neg_hi:
+            raise ValueError("crossing arcs")
+        open_ends.append(-neg_hi)
     order = {}
     for v, nbrs in adj.items():
         pv = pos[v]
@@ -352,28 +371,25 @@ class Dissection:
                     t = (j - 1 - v[1]) // m
                     self.inner_corners[j].append(
                         (f.id, t, _corner_angle_key_top(v, prev, nxt, t, n, m)))
-        for table, degree in ((self.outer_corners, self._outer_degree),
-                              (self.inner_corners, self._inner_degree)):
+        # arc endpoints per vertex, counted in one pass over the arcs
+        outer_degree = [0] * (n + 1)
+        inner_degree = [0] * (m + 1)
+        for arc in self.arcs:
+            outer_degree[arc.a] += 1
+            if arc.kind in ("diag", "peri"):
+                outer_degree[arc.b] += 1
+            elif arc.kind == "bridge":
+                inner_degree[arc.b] += 1
+        for table, degree in ((self.outer_corners, outer_degree),
+                              (self.inner_corners, inner_degree)):
             for i in table:
                 table[i].sort(key=lambda c: c[2])
                 table[i] = [(fid, t) for fid, t, _k in table[i]]
-                if len(table[i]) != degree(i) + 1:
+                if len(table[i]) != degree[i] + 1:
                     raise ValueError(
                         "region around a vertex is not tiled by polygons "
                         "(vertex %d: %d corners, degree %d)"
-                        % (i, len(table[i]), degree(i)))
-
-    def _outer_degree(self, i):
-        d = 0
-        for arc in self.arcs:
-            if arc.kind in ("diag", "peri"):
-                d += (arc.a == i) + (arc.b == i)
-            elif arc.kind in ("bridge", "bridge_disc"):
-                d += (arc.a == i)
-        return d
-
-    def _inner_degree(self, j):
-        return sum(1 for arc in self.arcs if arc.kind == "bridge" and arc.b == j)
+                        % (i, len(table[i]), degree[i]))
 
     # -- lifted-face helpers -------------------------------------------------
 
@@ -679,7 +695,16 @@ def glue_ear(D, g, p):
     """Attach a p-ear between outer vertices g and g+1: insert p-2 new
     outer vertices there and a peripheral arc enclosing them."""
     if D.is_quotient():
-        return QuotientDissection(glue_ear(D.base, g, p), _requote(D, g, p))
+        new = glue_ear(D.base, g, p)
+        n, n2 = D.surface.n, new.surface.n
+
+        def move(v):
+            if v[0] != "b":
+                return v
+            k, i = divmod(v[1], n)
+            return ("b", (i if i < g else i + (p - 2)) + k * n2)
+
+        return _requote(D, new, move)
     s = D.surface
     n = s.n
     if not 1 <= g <= n:
@@ -711,56 +736,96 @@ def glue_ear(D, g, p):
     return Dissection(new_surface, arcs)
 
 
-def _remap_trace(trace, map_face):
-    """Transport glue relations through a face relabelling.  map_face
-    returns (new id, period shift of the canonical representative); a
-    single-offset relation (a, b, d) identifies lift (a, 0) with lift
-    (b, d), so the offset becomes d + t_b - t_a."""
-    out = []
-    for rel in trace:
-        if len(rel) == 2:
-            (fa, _ta), (fb, _tb) = map_face(rel[0]), map_face(rel[1])
-            out.append((fa, fb))
+def glue_ears(D, steps):
+    """Attach a sequence of ears with one build: for steps (g, p, r) in
+    order, the result equals ``rotate_dissection(glue_ear(W, g, p), r)``
+    folded over them from W = D.  Each step only inserts p - 2 outer
+    vertices after v_g and shifts the labels by r, so the steps compose
+    into one map from vertices to final labels, applied to the arcs of D,
+    to one ear arc per step and to the faces a quotient's glue names."""
+    if not steps:
+        return D
+    base = D.base
+    s = base.surface
+    m = s.m
+    order = list(range(s.n))  # order[k]: id of the vertex labelled k + 1
+    wrap = [0] * s.n          # periods each vertex's lift has moved
+    ear_ends = []
+    rotated = False
+    for g, p, r in steps:
+        n = len(order)
+        if not 1 <= g <= n:
+            raise ValueError("glue position out of range")
+        ear_ends.append((order[g - 1], order[g % n]))
+        order[g:g] = range(n, n + p - 2)
+        wrap.extend([0] * (p - 2))
+        r %= len(order)
+        if r:
+            rotated = True
+            # the labels below r move across v_1 into the previous period
+            for v in order[:r]:
+                wrap[v] -= 1
+            order = order[r:] + order[:r]
+    N = len(order)
+    label = [0] * N
+    for k, v in enumerate(order):
+        label[v] = k
+
+    # a bridge keeps its inner end's strip height, less the periods its
+    # outer end moved; rotations re-anchor the inner labels at height 0
+    heights = {arc: (arc.b - 1) + arc.shift * m - wrap[arc.a - 1] * m
+               for arc in base.arcs if arc.kind == "bridge"}
+    lift = -min(heights.values()) if rotated and heights else 0
+    arcs = []
+    for arc in base.arcs:
+        a = label[arc.a - 1] + 1
+        if arc.kind == "bridge":
+            y = heights[arc] + lift
+            if not 0 <= y < 2 * m:
+                raise AssertionError("rotation failed to renormalize shifts")
+            arcs.append(Arc("bridge", a, y % m + 1, y // m))
+        elif arc.kind == "bridge_disc":
+            arcs.append(Arc("bridge_disc", a))
         else:
-            a, b, d = rel
-            (fa, ta), (fb, tb) = map_face(a), map_face(b)
-            out.append((fa, fb, d + tb - ta))
-    return out
+            arcs.append(Arc(arc.kind, a, label[arc.b - 1] + 1))
+    kind = "diag" if s.kind == "polygon" else "peri"
+    arcs += [Arc(kind, label[u] + 1, label[v] + 1) for u, v in ear_ends]
+    new = Dissection(Surface(s.kind, N, m), arcs)
+    if not D.is_quotient():
+        return new
 
-
-def _requote(D, g, p):
-    """Recompute quotient glue pairs after an ear attachment: map each
-    identified pair of the old base to the corresponding faces of the new
-    base by matching normalized vertex cycles."""
-    old = D.base
-    new = glue_ear(old, g, p)
-    n, m = old.surface.n, old.surface.m
-    n2 = new.surface.n
-
-    def remap_vertex(v):
+    def move(v):
         if v[0] != "b":
-            return v
-        x = v[1]
-        k, i = divmod(x, n)
-        i2 = i if i < g else i + (p - 2)
-        return ("b", i2 + k * n2)
+            return (v[0], v[1] + lift)
+        k, i = divmod(v[1], s.n)
+        return ("b", label[i] + (k + wrap[i]) * N)
 
-    lookup = {}
-    for f in new.base_faces:
-        lookup[_rotate_min(f.verts)] = f.id
+    return _requote(D, new, move)
+
+
+def _requote(D, new, move):
+    """The quotient D carried over to the base ``new``, whose faces are
+    those of D.base with every vertex moved by ``move``: each face is found
+    again by its normalized vertex cycle, and a single-offset relation
+    (a, b, d) identifying lift (a, 0) with lift (b, d) becomes
+    (a', b', d + t_b - t_a), where t is the period shift of a face's
+    canonical representative."""
+    n, m = new.surface.n, new.surface.m
+    lookup = {_rotate_min(f.verts): f.id for f in new.base_faces}
 
     def map_face(fid):
-        f = old.face(fid)
-        verts = tuple(remap_vertex(v) for v in f.verts)
-        xs = [v[1] for v in verts if v[0] == "b"]
-        t = min(xs) // n2
-        verts = tuple(_translate_vertex(v, -t, n2, m) for v in verts)
-        key = _rotate_min(verts)
+        verts = [move(v) for v in D.base.face(fid).verts]
+        t = min(v[1] for v in verts if v[0] == "b") // n
+        key = _rotate_min(tuple(_translate_vertex(v, -t, n, m) for v in verts))
         if key not in lookup:
-            raise AssertionError("face lost while attaching an ear")
+            raise AssertionError("face lost while relabelling a quotient")
         return lookup[key], t
 
-    return _remap_trace(D.trace, map_face)
+    trace = []
+    for rel in D.trace:
+        (fa, ta), (fb, tb) = map_face(rel[0]), map_face(rel[1])
+        trace.append((fa, fb) if len(rel) == 2 else (fa, fb, rel[2] + tb - ta))
+    return QuotientDissection(new, trace)
 
 
 def rotate_dissection(D, r):
@@ -768,29 +833,10 @@ def rotate_dissection(D, r):
     cycle read from position 1 starts r steps later); inner labels of an
     annulus are re-anchored so all bridging shifts stay in {0,1}."""
     if D.is_quotient():
-        base = D.base
-        newbase = rotate_dissection(base, r)
-        n, m = base.surface.n, base.surface.m
-        # map old faces to new by transported vertex cycles
-        shift_t = _rotation_inner_offset(base, r)
-        lookup = {_rotate_min(f.verts): f.id for f in newbase.base_faces}
-
-        def map_face(fid):
-            f = base.face(fid)
-            verts = []
-            for v in f.verts:
-                if v[0] == "b":
-                    verts.append(("b", v[1] - r))
-                elif v[0] == "t":
-                    verts.append(("t", v[1] + shift_t))
-                else:
-                    verts.append(v)
-            xs = [v[1] for v in verts if v[0] == "b"]
-            t = min(xs) // n
-            verts = tuple(_translate_vertex(v, -t, n, m) for v in verts)
-            return lookup[_rotate_min(verts)], t
-
-        return QuotientDissection(newbase, _remap_trace(D.trace, map_face))
+        shift_t = _rotation_inner_offset(D.base, r)
+        return _requote(D, rotate_dissection(D.base, r),
+                        lambda v: (v[0], v[1] - r if v[0] == "b"
+                                   else v[1] + shift_t))
     s = D.surface
     n = s.n
     r %= n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import chebyshev_u
-from .surface import quiddity_of
+from .surface import chords_cross, quiddity_of
 from .matchings import enumerate_matchings, weigh_matching
 
 
@@ -25,15 +25,6 @@ def _orient(p, q, r):
     """Sign of the turn p->q->r (positive = counterclockwise)."""
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)
-
-
-def _crosses(a, b, c, d):
-    """Do chords {a,b} and {c,d} (vertex numbers) cross internally?"""
-    if len({a, b, c, d}) < 4:
-        return False
-    pa, pb, pc, pd = _pt(a), _pt(b), _pt(c), _pt(d)
-    return (_orient(pa, pb, pc) != _orient(pa, pb, pd)
-            and _orient(pc, pd, pa) != _orient(pc, pd, pb))
 
 
 def _cross_param(i, j, a, b):
@@ -103,7 +94,7 @@ class _PolygonGeometry:
         out = []
         for pair in self.arc_pairs:
             a, b = sorted(pair)
-            if _crosses(i, j, a, b):
+            if chords_cross(i, j, a, b):
                 out.append((_cross_param(i, j, a, b), pair))
         out.sort()
         return out

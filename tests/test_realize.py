@@ -139,3 +139,39 @@ def test_quotient_roundtrip_random(rng):
     for _ in range(40):
         Q, cls = random_quotient_cycle(rng)
         assert list(quiddity_of(cls.witness).A) == list(Q.A)
+
+
+def _three_ear_cycle(n):
+    """The annulus core [3,3,4] [3] [3,3,4,4] with 3-ears glued at
+    random.Random(1) positions up to period n: ``glue(Q, 3, i)`` done on
+    plain lists, which avoids recomputing ring entries per ear."""
+    import random
+    rng = random.Random(1)
+    A = [[3, 3, 4], [3], [3, 3, 4, 4]]
+    while len(A) < n:
+        i = rng.randint(1, len(A))
+        A[i - 1].append(3)
+        A[i % len(A)].append(3)
+        A.insert(i, [3])
+    return quiddity_new(A)
+
+
+def test_many_cuts_classify_from_the_cli(tmp_path):
+    # 68 ear cuts: a depth guard on the shrinking child's period used to
+    # stop this cycle with an internal error (exit 3)
+    import io
+    from artifact import format_quiddity
+    from artifact.cli import dispatch
+    path = tmp_path / "cycle.txt"
+    path.write_text(format_quiddity(_three_ear_cycle(70)) + "\n")
+    out = io.StringIO()
+    assert dispatch(["classify", str(path)], out) == 0
+    assert out.getvalue().startswith("verdict: annulus\nn: 70\nm: 3\n")
+
+
+def test_long_cycle_needs_no_recursion():
+    # about 1,100 cuts, beyond the interpreter's default recursion limit
+    Q = _three_ear_cycle(1100)
+    cls = classify_realizability(Q)
+    assert cls.kind == "annulus" and len(cls.cut_trace) == 1098
+    assert quiddity_of(cls.witness).A == Q.A

@@ -52,6 +52,32 @@ def test_crossing_arcs_rejected():
                          [Arc("diag", 1, 4), Arc("diag", 3, 6)])
 
 
+def test_crossing_check_matches_the_pairwise_predicate():
+    # the stack pass over sorted spans rejects a chord set exactly when
+    # some pair of its chords crosses
+    import random
+    from artifact.surface import _faces_of_chord_diagram, chords_cross
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(4, 12)
+        cand = [(a, b) for a in range(n) for b in range(a + 2, n)
+                if (a, b) != (0, n - 1)]
+        chords = rng.sample(cand, rng.randint(1, min(len(cand), 6)))
+        crossing = any(chords_cross(a, b, c, d)
+                       for k, (a, b) in enumerate(chords)
+                       for c, d in chords[:k])
+        chords = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in chords]
+        try:
+            _faces_of_chord_diagram(list(range(n)), chords)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == crossing, (n, chords)
+        outcomes.add(crossing)
+    assert outcomes == {True, False}
+
+
 def test_quotient_identification():
     D = quotient_28_fixture()
     assert list(quiddity_of(D).A) == [(3, 3, 4, 4), (4, 4, 4)]
