@@ -3,7 +3,7 @@ realizability by dissections and quotient dissections of polygons,
 once-punctured discs, and annuli, and enumerative checks of the weighted
 matching, growth coefficient, and T-path formulas."""
 
-from .ring import (RingContext, RingElem, make_context, arith, chebyshev_u,
+from .ring import (RingContext, RingElem, make_context, chebyshev_u,
                    sign_of, format_elem)
 from .frieze import (QuiddityCycle, FriezeTable, quiddity_new,
                      format_quiddity, extent, growth_coefficient,

@@ -137,6 +137,17 @@ class ExtentReport:
     first_nonpositive: Optional[tuple]  # (i, j) or None
 
 
+def _finite_width(F, limit):
+    """The first w < limit with row w+1 all ones and row w+2 all zeros (the
+    width of a finite frieze), or None."""
+    one = F.context.one()
+    for w in range(limit):
+        if all(F.entry(i, i + w + 2) == one for i in range(F.n)) and \
+           all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
+            return w
+    return None
+
+
 def extent(F, probe_depth):
     """Scan nontrivial rows up to probe_depth.
 
@@ -146,12 +157,7 @@ def extent(F, probe_depth):
     """
     if probe_depth < F.n + 2:
         raise ValueError("probe_depth must be at least n + 2")
-    width = None
-    for w in range(0, probe_depth - 1):
-        ones = all(F.entry(i, i + w + 2) == 1 for i in range(F.n))
-        if ones and all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
-            width = w
-            break
+    width = _finite_width(F, probe_depth - 1)
     interior_depth = width if width is not None else probe_depth
     first_nonpositive = None
     for t in range(1, interior_depth + 1):
@@ -168,11 +174,7 @@ def extent(F, probe_depth):
 
 def is_finite_within(F, depth):
     """True if an all-ones row followed by an all-zeros row occurs by depth."""
-    for w in range(0, depth):
-        if all(F.entry(i, i + w + 2) == 1 for i in range(F.n)) and \
-           all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
-            return True
-    return False
+    return _finite_width(F, depth) is not None
 
 
 def growth_coefficient(F, k):
@@ -209,16 +211,11 @@ def check_positivity(F, depth):
     otherwise inconclusive.
     """
     n = F.n
-    finite = is_finite_within(F, depth)
+    width = _finite_width(F, depth)
+    finite = width is not None
+    # a finite frieze is scanned over its interior rows only
+    scan_depth = width if finite else depth
     violation = None
-    scan_depth = depth
-    if finite:
-        # restrict the scan to interior rows
-        for w in range(0, depth):
-            if all(F.entry(i, i + w + 2) == 1 for i in range(n)) and \
-               all(F.entry(i, i + w + 3).is_zero() for i in range(n)):
-                scan_depth = w
-                break
     for t in range(1, scan_depth + 1):
         for i in range(n):
             if sign_of(F.entry(i, i + t + 1)) <= 0:

@@ -7,10 +7,24 @@ L = lcm of the sizes; every lambda_p is an integer polynomial in mu, so one
 reduction rule serves all mixed products.
 
 Elements are stored as integer coefficient vectors in the power basis
-1, mu, ..., mu^(d-1), reduced modulo the minimal polynomial of mu.  Equality
-is coefficient equality, zero is the all-zero vector, and the sign of a
-nonzero element is decided by evaluating the coefficients on a certified
-rational interval enclosure of mu, bisecting until zero is excluded.
+1, mu, ..., mu^(d-1), reduced modulo the minimal polynomial Psi of mu.
+Equality is coefficient equality and zero is the all-zero vector.  What
+depends on L alone (Psi, the initial enclosure of mu, the lambda_q and the
+reduction rows) is computed once per L and shared by its contexts.
+
+A product is reduced with the precomputed rows mu^m mod Psi, m = d..2d-2.
+From degree ``KRONECKER_DEGREE`` on, both factors are packed into one
+integer each (Kronecker substitution, one signed digit per coefficient), so
+the polynomial product is a single bigint multiplication; below it the
+schoolbook product is faster.
+
+The sign of a nonzero element is decided in integers.  The certified
+enclosure lo < mu < hi is kept as lo = a/N, hi = b/N.  With D = d - 1, the
+element's value lies between the integer sums sum_k c_k x_k^k N^(D-k),
+divided by N^D, where x_k is a for positive and b for negative
+coefficients (lower bound) or the other way round (upper bound).  While
+the two bounds do not exclude zero, the enclosure is bisected by the sign
+of Psi at its midpoint.  No float enters a decision.
 """
 
 from __future__ import annotations
@@ -113,6 +127,142 @@ def _minpoly_from_cyclotomic(L):
     return psi
 
 
+def _homogeneous(poly, a, den):
+    """den^deg * poly(a/den) as an integer; its sign is that of poly(a/den)."""
+    acc = 0
+    scale = 1
+    for c in reversed(poly):
+        acc = acc * a + c * scale
+        scale *= den
+    return acc
+
+
+# Smallest degree at which the Kronecker product beats the schoolbook one.
+KRONECKER_DEGREE = 5
+
+
+class _Tables:
+    """What depends on L alone, built once per L by ``_tables_for``.
+
+    ``rows[m - d]`` is mu^m mod Psi for m = d..2d-2, ``enclosure`` the
+    certified initial enclosure (a, b, N) of mu, ``two_cos(k)`` the
+    coefficients of 2cos(k pi/L), and ``mul`` the product kernel for the
+    degree.  Rows packed for the Kronecker product are kept per digit width.
+    """
+
+    def __init__(self, L):
+        psi = _minpoly_from_cyclotomic(L)
+        d = len(psi) - 1
+        if d != _totient(2 * L) // 2:
+            raise ArithmeticError("minimal polynomial degree self-check failed")
+        self.L = L
+        self.minpoly = tuple(psi)
+        self.degree = d
+        self._top = tuple(-c for c in psi[:-1])    # mu^d = sum top_k mu^k
+        rows = []
+        row = self._top
+        for _ in range(d - 1):
+            rows.append(row)
+            row = self._times_mu(row)
+        self.rows = tuple(rows)
+        # a product digit is below d 2^(bits a + bits b), a reduced digit
+        # below col times that: at width w >= bits a + bits b + slack every
+        # signed digit fits in w - 1 bits
+        col = max((1 + sum(abs(r[j]) for r in rows) for j in range(d)),
+                  default=1)
+        self._slack = d.bit_length() + col.bit_length() + 1
+        self._packed = {}
+        zeros = (0,) * (d - 1)
+        self._two_cos = [(2,) + zeros, self._times_mu((1,) + zeros)]
+        self.enclosure = self._initial_enclosure()
+        self.mul = (self._kronecker if d >= KRONECKER_DEGREE
+                    else self._schoolbook)
+
+    def _times_mu(self, x):
+        top = x[-1]
+        return tuple([top * self._top[0]]
+                     + [a + top * t for a, t in zip(x, self._top[1:])])
+
+    def _initial_enclosure(self):
+        """A certified enclosure (a, b, N), a/N < mu < b/N, of the root
+        mu = 2cos(pi/L) of Psi alone.
+
+        mu is the largest real root; the next root 2cos(k pi/L) has k >= 3,
+        so any rational lo strictly between them works.  The float seed is
+        validated by exact sign checks before use.
+        """
+        if self.degree == 1:
+            # mu is rational (only L = 3 here: mu = 1)
+            return (-self.minpoly[0], -self.minpoly[0], 1)
+        lo = Fraction(2 * math.cos(1.5 * math.pi / self.L))
+        a, den = lo.limit_denominator(10**9).as_integer_ratio()
+        if not (_homogeneous(self.minpoly, a, den) < 0
+                < _homogeneous(self.minpoly, 2 * den, den)):
+            raise ArithmeticError("could not certify initial root enclosure")
+        return (a, 2 * den, den)
+
+    def two_cos(self, k):
+        """Coefficients of 2cos(k pi/L): t_0 = 2, t_1 = mu,
+        t_k = mu t_(k-1) - t_(k-2)."""
+        t = self._two_cos
+        while len(t) <= k:
+            t.append(tuple(x - y for x, y in
+                           zip(self._times_mu(t[-1]), t[-2])))
+        return t[k]
+
+    def _schoolbook(self, a, b):
+        d = self.degree
+        prod = _poly_mul(a, b)
+        out = prod[:d]
+        for c, row in zip(prod[d:], self.rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return tuple(out)
+
+    def _pack_rows(self, w):
+        """The rows packed at digit width w, with the bias that makes every
+        digit of a packed product nonnegative."""
+        d = self.degree
+        half = 1 << (w - 1)
+        packed = (tuple(_pack(row, w) for row in self.rows),
+                  sum(half << (w * k) for k in range(2 * d - 1)))
+        self._packed[w] = packed
+        return packed
+
+    def _kronecker(self, a, b):
+        """Product by Kronecker substitution at a digit width that holds
+        every signed digit of the product and of its reduction."""
+        d = self.degree
+        w = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+             + self._slack + 63) >> 6 << 6
+        rows, bias = self._packed.get(w) or self._pack_rows(w)
+        half = 1 << (w - 1)
+        mask = (1 << w) - 1
+        low = d * w
+        # all 2d - 1 digits of the product, each shifted into [0, 2^w)
+        prod = _pack(a, w) * _pack(b, w) + bias
+        out = prod & ((1 << low) - 1)
+        prod >>= low
+        for row in rows:
+            out += ((prod & mask) - half) * row
+            prod >>= w
+        return tuple([((out >> s) & mask) - half for s in range(0, low, w)])
+
+
+def _pack(coeffs, w):
+    """sum coeffs[k] * 2^(w k), the Kronecker substitution x = 2^w."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << w) + c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _tables_for(L):
+    return _Tables(L)
+
+
 class RingContext:
     """The ring Z[mu], mu = 2cos(pi/L), for a fixed set of subgon sizes.
 
@@ -129,8 +279,9 @@ class RingContext:
     lambda_table : dict
         p -> RingElem representing lambda_p = 2cos(pi/p).
 
-    Contexts are immutable after creation; elements of different contexts
-    never mix (no implicit coercion).
+    Contexts are immutable after creation apart from the refinement of the
+    enclosure of mu; elements of different contexts never mix (no implicit
+    coercion), even when their L agrees.
     """
 
     def __init__(self, levels):
@@ -144,80 +295,53 @@ class RingContext:
         for p in levels:
             L = L * p // math.gcd(L, p)
         self.L = L
-        psi = _minpoly_from_cyclotomic(L)
-        self.minpoly = tuple(psi)
-        self.degree = len(psi) - 1
-        if self.degree != _totient(2 * L) // 2:
-            raise ArithmeticError("minimal polynomial degree self-check failed")
-        self._enclosure = self._initial_enclosure()
-        self.lambda_table = {}
-        for p in sorted(levels):
-            self.lambda_table[p] = self._two_cos_multiple(L // p)
+        t = _tables_for(L)
+        self._tables = t
+        self.minpoly = t.minpoly
+        self.degree = t.degree
+        self._mul = t.mul
+        self._zeros = (0,) * (t.degree - 1)
+        self._enclosure = t.enclosure
+        self._powers = None
+        self.lambda_table = {p: RingElem(self, t.two_cos(L // p))
+                             for p in sorted(levels)}
 
-    # -- construction helpers ------------------------------------------------
-
-    def _initial_enclosure(self):
-        """A certified rational interval (lo, hi) containing only the root
-        mu = 2cos(pi/L) of the minimal polynomial.
-
-        mu is the largest real root; the next root 2cos(k pi/L) has k >= 3,
-        so any rational lo strictly between them works.  The float seed is
-        validated by exact sign checks before use.
-        """
-        if self.degree == 1:
-            # mu is rational (only L = 3 here: mu = 1)
-            root = Fraction(-self.minpoly[0], self.minpoly[1])
-            return (root, root)
-        lo = Fraction(2 * math.cos(1.5 * math.pi / self.L)).limit_denominator(10**9)
-        hi = Fraction(2)
-        if not (self._minpoly_at(lo) < 0 < self._minpoly_at(hi)):
-            raise ArithmeticError("could not certify initial root enclosure")
-        return (lo, hi)
-
-    def _minpoly_at(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.minpoly):
-            acc = acc * x + c
-        return acc
+    # -- the enclosure of mu -------------------------------------------------
 
     def _refine_enclosure_once(self):
-        lo, hi = self._enclosure
-        mid = (lo + hi) / 2
-        v = self._minpoly_at(mid)
+        a, b, den = self._enclosure
+        mid = a + b
+        v = _homogeneous(self.minpoly, mid, 2 * den)
         if v == 0:
-            raise ArithmeticError("rational midpoint is a root (impossible for d >= 2)")
+            raise ArithmeticError(
+                "rational midpoint is a root (impossible for d >= 2)")
         if v < 0:
-            self._enclosure = (mid, hi)
+            self._enclosure = (mid, 2 * b, 2 * den)
         else:
-            self._enclosure = (lo, mid)
+            self._enclosure = (2 * a, mid, 2 * den)
+        self._powers = None
 
-    def enclosure(self, width=None):
-        """Certified interval around mu, refined below `width` if given."""
-        if width is not None:
-            lo, hi = self._enclosure
-            while hi - lo > width:
-                self._refine_enclosure_once()
-                lo, hi = self._enclosure
-        return self._enclosure
-
-    def _two_cos_multiple(self, k):
-        """2cos(k pi/L) as a RingElem: the Chebyshev-like sequence
-        t_0 = 2, t_1 = mu, t_k = mu t_{k-1} - t_{k-2}."""
-        if k == 0:
-            return self.from_int(2)
-        mu = self.mu()
-        prev = self.from_int(2)
-        cur = mu
-        for _ in range(k - 1):
-            prev, cur = cur, mu * cur - prev
-        return cur
+    def _enclosure_powers(self):
+        """(a^k N^(D-k), b^k N^(D-k)) for k = 0..D, for the current
+        enclosure (a, b, N); rebuilt only after the enclosure moves."""
+        if self._powers is None:
+            a, b, den = self._enclosure
+            D = self.degree - 1
+            lo, hi = [], []
+            pa = pb = 1
+            for k in range(D + 1):
+                scale = den ** (D - k)
+                lo.append(pa * scale)
+                hi.append(pb * scale)
+                pa *= a
+                pb *= b
+            self._powers = (lo, hi)
+        return self._powers
 
     # -- element constructors ------------------------------------------------
 
     def from_int(self, c):
-        coeffs = [0] * self.degree
-        coeffs[0] = int(c)
-        return RingElem(self, tuple(coeffs))
+        return RingElem(self, (int(c),) + self._zeros)
 
     def zero(self):
         return self.from_int(0)
@@ -226,12 +350,7 @@ class RingContext:
         return self.from_int(1)
 
     def mu(self):
-        if self.degree == 1:
-            # mu is rational; minpoly is monic linear x - r
-            return self.from_int(-self.minpoly[0])
-        coeffs = [0] * self.degree
-        coeffs[1] = 1
-        return RingElem(self, tuple(coeffs))
+        return RingElem(self, self._tables.two_cos(1))
 
     def lam(self, p):
         """lambda_p = 2cos(pi/p); p must divide the context's levels set
@@ -240,23 +359,9 @@ class RingContext:
             return self.lambda_table[p]
         if self.L % p != 0:
             raise ValueError("size %d is not covered by this context" % p)
-        val = self._two_cos_multiple(self.L // p)
+        val = RingElem(self, self._tables.two_cos(self.L // p))
         self.lambda_table[p] = val
         return val
-
-    def _reduce(self, coeffs):
-        """Reduce an integer coefficient list modulo the monic minpoly."""
-        d = self.degree
-        coeffs = list(coeffs)
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[k]
-            if c:
-                for j in range(d + 1):
-                    coeffs[k - d + j] -= c * self.minpoly[j]
-            coeffs.pop()
-        while len(coeffs) < d:
-            coeffs.append(0)
-        return tuple(coeffs)
 
     def __repr__(self):
         return "RingContext(levels=%s, L=%d, degree=%d)" % (
@@ -299,8 +404,8 @@ class RingElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return RingElem(self.context, self.context._reduce(prod))
+        return RingElem(self.context,
+                        self.context._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -334,21 +439,6 @@ def make_context(levels):
     return RingContext(levels)
 
 
-def arith(kind, a, b=None):
-    """Arithmetic dispatch: kind in {'add', 'sub', 'mul', 'neg'}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "neg":
-        if b is not None:
-            raise ValueError("neg takes one operand")
-        return -a
-    raise ValueError("unknown arithmetic kind %r" % (kind,))
-
-
 def chebyshev_u(ctx, k, x):
     """Normalized Chebyshev polynomial of the second kind, evaluated at x.
 
@@ -367,42 +457,33 @@ def chebyshev_u(ctx, k, x):
     return cur
 
 
-def _interval_value(elem, lo, hi):
-    """Interval enclosure of the element's value given an enclosure of mu.
-
-    mu >= 1 for every context (L >= 3), so powers are monotone.
-    """
-    vlo = Fraction(0)
-    vhi = Fraction(0)
-    plo = Fraction(1)
-    phi_ = Fraction(1)
-    for c in elem.coeffs:
-        if c > 0:
-            vlo += c * plo
-            vhi += c * phi_
-        elif c < 0:
-            vlo += c * phi_
-            vhi += c * plo
-        plo *= lo
-        phi_ *= hi
-    return vlo, vhi
-
-
 def sign_of(a):
-    """Sign in {-1, 0, 1}; zero is decided syntactically, otherwise by a
-    refinable certified interval enclosure of mu."""
+    """Sign in {-1, 0, 1}; zero is decided syntactically, otherwise by
+    integer bounds on a refinable certified enclosure of mu.
+
+    The enclosure lies in (0, 2], so powers are monotone on it: the lower
+    bound takes lo^k for positive and hi^k for negative coefficients, the
+    upper bound the other way round.
+    """
     if a.is_zero():
         return 0
     ctx = a.context
-    lo, hi = ctx.enclosure()
+    coeffs = a.coeffs
     while True:
-        vlo, vhi = _interval_value(a, lo, hi)
+        lo, hi = ctx._enclosure_powers()
+        vlo = vhi = 0
+        for c, pl, ph in zip(coeffs, lo, hi):
+            if c > 0:
+                vlo += c * pl
+                vhi += c * ph
+            elif c < 0:
+                vlo += c * ph
+                vhi += c * pl
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
         ctx._refine_enclosure_once()
-        lo, hi = ctx.enclosure()
 
 
 def format_elem(a, approx=True):

@@ -4,7 +4,7 @@ Every criterion the package promises is exercised here end to end —
 figure-fixture regressions, the worked annulus example, the 16-cell
 classification table, cut-trace examples, matching-weight tables, the
 randomized property suites at full instance counts, the Chebyshev kernel,
-and the reported (not asserted) positivity sweep.
+and the positivity sweep.
 """
 
 import io
@@ -13,9 +13,9 @@ import random
 import pytest
 
 from artifact import (Arc, BudgetExceeded, FriezeTable, build_dissection,
-                      check_positivity, chebyshev_u, classify_realizability,
-                      cut, enumerate_matchings, extent, format_quiddity,
-                      glue, growth_coefficient, growth_via_annulus_weight,
+                      chebyshev_u, classify_realizability, cut,
+                      enumerate_matchings, extent, glue, growth_coefficient,
+                      growth_via_annulus_weight,
                       make_context, matching_sum, parse_dissection_text,
                       polygon, quiddity_new, quiddity_of, sign_of,
                       weigh_matching)
@@ -358,20 +358,13 @@ def test_criterion_7_chebyshev_kernel():
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: positivity sweep — reported, not asserted beyond the
-# proof-backed clause
+# criterion 8: positivity sweep — reported on quotient cycles, asserted on
+# realizable polygon, disc and annulus witnesses
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_positivity_sweep():
-    rng = random.Random(13)
-    logged = {}
-    proof_backed_bad = []
-    for _ in range(500):
-        Q, cls = random_quotient_cycle(rng)
-        verdict = check_positivity(FriezeTable(Q), 3 * Q.n)
-        logged[verdict.kind] = logged.get(verdict.kind, 0) + 1
-        if verdict.kind == "nonpositive_found" and cls.kind in (
-                "polygon", "punctured_disc", "annulus"):
-            proof_backed_bad.append((format_quiddity(Q), verdict.witness))
-    print("positivity sweep over 500 quotient-realizable cycles:", logged)
-    assert proof_backed_bad == [], proof_backed_bad
+    out = io.StringIO()
+    fails = _SUITES["positivity-sweep"](random.Random(13), 300, out)
+    print("positivity sweep over 300 quotient-realizable cycles:")
+    print(out.getvalue())
+    assert fails == 0, out.getvalue()

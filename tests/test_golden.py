@@ -1,4 +1,4 @@
-"""Golden CLI corpus: replay recorded ``matchings`` and ``tpaths`` runs
+"""Golden CLI corpus: replay recorded runs of every verb but ``render``
 through ``dispatch`` and compare stdout and exit code byte for byte.
 
 The cases and their expected output live in ``tests/golden/cases.json``;

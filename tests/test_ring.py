@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from artifact import (make_context, arith, chebyshev_u, sign_of, format_elem)
+from artifact import (make_context, chebyshev_u, sign_of, format_elem)
 
 
 def U(ctx, k, p):
@@ -76,17 +74,6 @@ def test_long_constant_run_forces_zero_entry():
         for _ in range(p - 1):
             below, cur = cur, ctx.lam(p) * cur - below
         assert cur.is_zero()
-
-
-def test_arith_helper():
-    ctx = make_context([4])
-    a, b = ctx.lam(4), ctx.from_int(3)
-    assert arith("add", a, b) == a + b
-    assert arith("sub", a, b) == a - b
-    assert arith("mul", a, b) == a * b
-    assert arith("neg", a) == -a
-    with pytest.raises(ValueError):
-        arith("div", a, b)
 
 
 def test_sign_of_exact():
