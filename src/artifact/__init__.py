@@ -11,7 +11,7 @@ from .frieze import (QuiddityCycle, FriezeTable, quiddity_new,
                      realizability_test, is_skeletal_quiddity)
 from .surface import (Surface, Arc, Dissection, QuotientDissection,
                       polygon, punctured_disc, annulus, build_dissection,
-                      make_quotient, quiddity_of, cover_window,
+                      make_quotient, quiddity_of,
                       dissection_power, glue_ear, glue_ears, rotate_dissection,
                       format_dissection, parse_dissection_text)
 from .realize import (Classification, classify_realizability,

@@ -166,7 +166,7 @@ _MODES = {"local": "local", "trad": "traditional", "ann": "annulus"}
 def _cmd_matchings(args, out):
     D = _load_dissection(args.input)
     mode = _MODES[args.mode]
-    base = D.base if D.is_quotient() else D
+    base = D.base
     ctx = quiddity_of(base).context
     i, j = args.from_, args.to
     if args.list:
@@ -433,7 +433,7 @@ _PALETTE = ["#c6dbef", "#fdd0a2", "#c7e9c0", "#fcbba1", "#dadaeb",
 def render_svg(D):
     """Schematic picture: vertices on circles, arcs as straight chords,
     faces shaded by identification class and labelled by id."""
-    base = D.base if D.is_quotient() else D
+    base = D.base
     s = base.surface
     cx = cy = 220.0
     R, r_in = 180.0, 75.0

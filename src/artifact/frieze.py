@@ -148,6 +148,16 @@ def _finite_width(F, limit):
     return None
 
 
+def _first_nonpositive(F, depth):
+    """The first (i, j), row by row over rows 1..depth, whose entry is not
+    positive, or None."""
+    for t in range(1, depth + 1):
+        for i in range(F.n):
+            if sign_of(F.entry(i, i + t + 1)) <= 0:
+                return (i, i + t + 1)
+    return None
+
+
 def extent(F, probe_depth):
     """Scan nontrivial rows up to probe_depth.
 
@@ -159,14 +169,7 @@ def extent(F, probe_depth):
         raise ValueError("probe_depth must be at least n + 2")
     width = _finite_width(F, probe_depth - 1)
     interior_depth = width if width is not None else probe_depth
-    first_nonpositive = None
-    for t in range(1, interior_depth + 1):
-        for i in range(F.n):
-            if sign_of(F.entry(i, i + t + 1)) <= 0:
-                first_nonpositive = (i, i + t + 1)
-                break
-        if first_nonpositive:
-            break
+    first_nonpositive = _first_nonpositive(F, interior_depth)
     if width is not None:
         return ExtentReport("finite", width, F.n, first_nonpositive)
     return ExtentReport("infinite", None, F.n, first_nonpositive)
@@ -215,14 +218,7 @@ def check_positivity(F, depth):
     finite = width is not None
     # a finite frieze is scanned over its interior rows only
     scan_depth = width if finite else depth
-    violation = None
-    for t in range(1, scan_depth + 1):
-        for i in range(n):
-            if sign_of(F.entry(i, i + t + 1)) <= 0:
-                violation = (i, i + t + 1)
-                break
-        if violation:
-            break
+    violation = _first_nonpositive(F, scan_depth)
     two = F.context.from_int(2)
     crit_a = all(sign_of(F.quiddity.entry_at(i) - two) >= 0
                  for i in range(1, n + 1))
@@ -314,10 +310,7 @@ def glue(Q, p, i):
     A[j] = sorted(A[j] + [p])
     ins = [(p,)] * (p - 2)
     out = [tuple(a) for a in A]
-    if i == n:
-        new = [out[0]] + out[1:n - 1] + [out[n - 1]] + ins if n > 1 else [out[0]] + ins
-    else:
-        new = out[:i] + ins + out[i:]
+    new = out[:i] + ins + out[i:]
     ctx = Q.context if Q.context.L % p == 0 else None
     return QuiddityCycle(new, ctx)
 

@@ -21,18 +21,13 @@ from math import prod
 
 from .ring import chebyshev_u
 from .frieze import FriezeTable, QuiddityCycle, growth_coefficient
-from .surface import CoverWindow, dissection_power, quiddity_of
+from .surface import dissection_power, quiddity_of
 
 DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceeded(ValueError):
     pass
-
-
-def _source(W):
-    """The dissection (or quotient) behind a matching source."""
-    return W.dissection if isinstance(W, CoverWindow) else W
 
 
 @dataclass(frozen=True)
@@ -45,23 +40,16 @@ class Matching:
         return len(self.choice)
 
 
-def _choice_lists(W, i, j):
-    D = _source(W)
-    n = D.base.surface.n
-    is_polygon = D.base.surface.kind == "polygon"
-    lists = []
-    for g in range(i, j - 1):
-        if isinstance(W, CoverWindow) and not W.covers(g):
-            raise ValueError("cover window does not reach coordinate %d" % g)
-        gg = g % n if is_polygon else g
-        lists.append(W.corner_choices(gg, "outer"))
-    return lists
+def _choice_lists(D, i, j):
+    s = D.surface
+    return [D.corner_choices(g % s.n if s.kind == "polygon" else g, "outer")
+            for g in range(i, j - 1)]
 
 
 def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
     """All matchings contributing to m_{i,j}, in counterclockwise corner
     order per vertex.  m_{i,i} has none; m_{i,i+1} has exactly the empty
-    matching.  W is a dissection, quotient dissection, or cover window."""
+    matching.  W is a dissection or a quotient dissection."""
     if j < i:
         raise ValueError("need j >= i")
     if j == i:
@@ -74,7 +62,7 @@ def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
 
 
 def _context_of(D):
-    return quiddity_of(D.base if D.is_quotient() else D, "outer").context
+    return quiddity_of(D.base, "outer").context
 
 
 def weigh_matching(w, mode, D, ctx=None):
@@ -83,8 +71,7 @@ def weigh_matching(w, mode, D, ctx=None):
     full-period matchings only)."""
     if ctx is None:
         ctx = _context_of(D)
-    src = _source(D)
-    base = src.base
+    base = D.base
     if mode == "local":
         total = ctx.one()
         k = 0
@@ -95,7 +82,7 @@ def weigh_matching(w, mode, D, ctx=None):
                 total = total * chebyshev_u(ctx, k, ctx.lam(base.face(fid).size))
                 k = 0
         return total
-    if src.is_quotient():
+    if D.is_quotient():
         raise ValueError("mode %r is defined only for ordinary dissections"
                          % mode)
     if mode not in ("traditional", "annulus"):
@@ -118,27 +105,27 @@ def weigh_matching(w, mode, D, ctx=None):
 def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET, ctx=None):
     """Exact ring sum of weights over all matchings contributing to
     m_{i,j}.  One pass over the window positions keeps the partial sums
-    of equal states merged, so the cost is about linear in the window
-    length instead of in the number of matchings; ``budget`` still caps
-    that number, as for the enumeration."""
-    src = _source(W)
+    of equal states merged.  In local mode the cost is about linear in
+    the window length; traditional and annulus modes keep one state per
+    multiset of open faces, which can grow exponentially with it.
+    ``budget`` caps the number of matchings, as for the enumeration."""
     if ctx is None:
-        ctx = _context_of(src)
+        ctx = _context_of(W)
     if j < i:
         raise ValueError("need j >= i")
     if j == i:
         return ctx.zero()
     if mode not in ("local", "traditional", "annulus"):
         raise ValueError("unknown weighting mode %r" % mode)
-    if mode != "local" and src.is_quotient():
+    if mode != "local" and W.is_quotient():
         raise ValueError("mode %r is defined only for ordinary dissections"
                          % mode)
-    if mode == "annulus" and j - i - 1 != src.base.surface.n:
+    if mode == "annulus" and j - i - 1 != W.surface.n:
         raise ValueError("annulus weighting needs a full-period matching")
     lists = _choice_lists(W, i, j)
     if prod(len(c) for c in lists) > budget:
         raise BudgetExceeded("more than %d matchings" % budget)
-    sizes = {f.id: f.size for f in src.base.base_faces}
+    sizes = {f.id: f.size for f in W.base_faces}
 
     @lru_cache(maxsize=None)
     def u(k, fid):

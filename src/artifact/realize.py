@@ -246,18 +246,12 @@ def quotient_realize(Q):
         except ValueError as exc:
             last_err = exc
             continue
-        derived = QuiddityCycle(
-            [tuple(a) for a in _multisets_of(QD)], Q.context)
-        if derived == Q:
+        derived = quiddity_of(QD)
+        if derived.A == Q.A:
             return QD
         last_err = ValueError("quotient witness quiddity mismatch: %r vs %r"
                               % (derived, Q))
     raise AssertionError("quotient construction failed: %s" % last_err)
-
-
-def _multisets_of(D):
-    """Outer quiddity of a dissection as raw multisets."""
-    return quiddity_of(D, "outer").A
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,16 @@ def _vertex_sort_key(v):
     return (2, 0)
 
 
+def _boundary_rank(v, t, n, m):
+    """Place of v, translated t periods, along the counterclockwise walk of
+    a strip window's boundary: bottom line rightward, then top leftward."""
+    if v[0] == "b":
+        return (0, v[1] + t * n)
+    if v[0] == "t":
+        return (1, -(v[1] + t * m))
+    return (1, 0)
+
+
 def _translate_vertex(v, t, n, m):
     if v[0] == "b":
         return ("b", v[1] + t * n)
@@ -272,31 +282,25 @@ class Dissection:
         n, m = s.n, s.m
         chords = []
         for arc in self.arcs:
+            xa = arc.a - 1
             if arc.kind == "diag":
-                chords.append((("b", arc.a - 1), ("b", arc.b - 1)))
-            elif arc.kind == "peri":
-                xa = arc.a - 1
-                xb = arc.b - 1 if arc.b > arc.a else arc.b - 1 + n
-                k = (x_lo - xa) // n
-                while xa + k * n <= x_hi:
-                    if xa + k * n >= x_lo and xb + k * n <= x_hi:
-                        chords.append((("b", xa + k * n), ("b", xb + k * n)))
-                    k += 1
-            elif arc.kind == "bridge_disc":
-                xa = arc.a - 1
-                k = (x_lo - xa) // n
-                while xa + k * n <= x_hi:
-                    if xa + k * n >= x_lo:
-                        chords.append((("b", xa + k * n), _INF))
-                    k += 1
-            elif arc.kind == "bridge":
-                xa = arc.a - 1
-                yb = (arc.b - 1) + arc.shift * m
-                k = (x_lo - xa) // n
-                while xa + k * n <= x_hi:
-                    if (xa + k * n >= x_lo and y_lo <= yb + k * m <= y_hi):
-                        chords.append((("b", xa + k * n), ("t", yb + k * m)))
-                    k += 1
+                chords.append((("b", xa), ("b", arc.b - 1)))
+                continue
+            # each kind picks the far end of v_a^k and tests that it fits
+            for k in range(-((xa - x_lo) // n), (x_hi - xa) // n + 1):
+                if arc.kind == "peri":
+                    x = (arc.b - 1 if arc.b > arc.a else arc.b - 1 + n) + k * n
+                    if x > x_hi:
+                        continue
+                    far = ("b", x)
+                elif arc.kind == "bridge":
+                    y = (arc.b - 1) + (arc.shift + k) * m
+                    if not y_lo <= y <= y_hi:
+                        continue
+                    far = ("t", y)
+                else:
+                    far = _INF
+                chords.append((("b", xa + k * n), far))
         return chords
 
     def _compute_faces(self):
@@ -305,9 +309,7 @@ class Dissection:
         if s.kind == "polygon":
             boundary = [("b", x) for x in range(n)]
             chords = self._chord_lifts(0, n - 1, 0, 0)
-            raw = _faces_of_chord_diagram(boundary, chords)
-            complete = raw
-            artificial = set()
+            complete = _faces_of_chord_diagram(boundary, chords)
         else:
             B = _WINDOW
             x_lo, x_hi = -B * n, (B + 1) * n - 1
@@ -356,21 +358,21 @@ class Dissection:
         n, m = s.n, s.m
         self.outer_corners = {i: [] for i in range(1, n + 1)}
         self.inner_corners = {j: [] for j in range(1, m + 1)} if s.kind == "annulus" else {}
+        # corners run counterclockwise in the order the face walk sorts
+        # neighbours: by the boundary place of the next vertex, from v on
         for f in self.base_faces:
             k = f.size
             for idx, v in enumerate(f.verts):
-                prev = f.verts[(idx - 1) % k]
-                nxt = f.verts[(idx + 1) % k]
                 if v[0] == "b":
-                    i = v[1] % n + 1
-                    t = (i - 1 - v[1]) // n
-                    self.outer_corners[i].append(
-                        (f.id, t, _corner_angle_key_bottom(v, prev, nxt, t, n, m)))
-                elif v[0] == "t" and s.kind == "annulus":
-                    j = v[1] % m + 1
-                    t = (j - 1 - v[1]) // m
-                    self.inner_corners[j].append(
-                        (f.id, t, _corner_angle_key_top(v, prev, nxt, t, n, m)))
+                    table, period = self.outer_corners, n
+                elif v[0] == "t":
+                    table, period = self.inner_corners, m
+                else:
+                    continue
+                i = v[1] % period + 1
+                t = (i - 1 - v[1]) // period
+                nxt = _boundary_rank(f.verts[(idx + 1) % k], t, n, m)
+                table[i].append((nxt <= _boundary_rank(v, t, n, m), nxt, f.id, t))
         # arc endpoints per vertex, counted in one pass over the arcs
         outer_degree = [0] * (n + 1)
         inner_degree = [0] * (m + 1)
@@ -383,8 +385,7 @@ class Dissection:
         for table, degree in ((self.outer_corners, outer_degree),
                               (self.inner_corners, inner_degree)):
             for i in table:
-                table[i].sort(key=lambda c: c[2])
-                table[i] = [(fid, t) for fid, t, _k in table[i]]
+                table[i] = [(fid, t) for _w, _r, fid, t in sorted(table[i])]
                 if len(table[i]) != degree[i] + 1:
                     raise ValueError(
                         "region around a vertex is not tiled by polygons "
@@ -431,32 +432,6 @@ class Dissection:
 
     def __repr__(self):
         return "Dissection(%s)" % (format_dissection(self).replace("\n", "; "),)
-
-
-def _corner_angle_key_bottom(v, prev, nxt, t, n, m):
-    """Sort key placing corners at a bottom vertex in counterclockwise
-    angular order (right boundary direction first).  Coordinates are
-    translated by t so faces living in other periods compare correctly."""
-    def direction(u):
-        if u[0] == "b":
-            dx = (u[1] + t * n) - (v[1] + t * n)
-            return (0, dx) if dx > 0 else (3, u[1] + t * n)
-        if u == _INF:
-            return (1, 0)
-        return (2, -(u[1] + t * m))
-    return min(direction(prev), direction(nxt))
-
-
-def _corner_angle_key_top(v, prev, nxt, t, n, m):
-    """Deterministic corner order around a top vertex (leftward first).
-    Coordinates are translated by t so faces living in other periods
-    compare correctly."""
-    def direction(u):
-        if u[0] == "t":
-            dy = u[1] - v[1]
-            return (0, -dy) if dy < 0 else (3, -(u[1] + t * m))
-        return (2, u[1] + t * n)
-    return min(direction(prev), direction(nxt))
 
 
 def build_dissection(surface, arcs):
@@ -509,12 +484,13 @@ class _ClassMap:
         return (r, s % g if g else s)
 
 
-class QuotientDissection:
+class QuotientDissection(Dissection):
     """An annulus dissection with same-size subgons identified.
 
     Identified lifts are paired copy-by-copy in the cover: whenever two
     identified subgons share an outer vertex v_i, the two lifts incident to
     each v_i^k are identified, and the relation is closed under translation.
+    Faces and corner tables are those of the base; only the classes differ.
     """
 
     def __init__(self, base, pairs):
@@ -534,12 +510,14 @@ class QuotientDissection:
             self._merge(p[0], p[1], p[2] if len(p) > 2 else None)
 
     def _merge(self, fa, fb, delta=None):
-        base = self.base_dissection
         n, m = self.surface.n, self.surface.m
+        nfaces = len(self.base_faces)
+        if not (0 <= fa < nfaces and 0 <= fb < nfaces):
+            raise ValueError("glue face id out of range")
         if fa == fb and not delta:
             # gluing a subgon to its own translate needs an explicit offset
             raise ValueError("cannot identify a subgon with itself")
-        A, B = base.face(fa), base.face(fb)
+        A, B = self.face(fa), self.face(fb)
         if A.size != B.size:
             raise ValueError("identified subgons must have equal size")
         for f in (A, B):
@@ -573,14 +551,8 @@ class QuotientDissection:
                 raise ValueError("cannot identify subgons sharing an edge")
             self._classes.union(fa, fb, d)
 
-    def face(self, fid):
-        return self.base_faces[fid]
-
     def class_key(self, fid, t):
         return self._classes.key(fid, t)
-
-    def corner_choices(self, g, boundary="outer"):
-        return Dissection.corner_choices(self, g, boundary)
 
     def is_quotient(self):
         return True
@@ -605,11 +577,11 @@ class QuotientDissection:
 def make_quotient(D, pairs):
     """Identify the listed face-id pairs, validating each against the
     quotient-dissection restrictions."""
-    return QuotientDissection(D.base if D.is_quotient() else D, pairs)
+    return QuotientDissection(D.base, pairs)
 
 
 # ---------------------------------------------------------------------------
-# quiddity derivation and cover windows
+# quiddity derivation
 # ---------------------------------------------------------------------------
 
 def quiddity_of(D, boundary="outer"):
@@ -624,39 +596,13 @@ def quiddity_of(D, boundary="outer"):
             raise ValueError("inner boundary only exists on annuli")
         # read counterclockwise with respect to the inner boundary, which
         # reverses the strip direction
-        A = []
-        for j in range(s.m, 0, -1):
-            choices = D.corner_choices(j - 1, "inner")
-            A.append(tuple(sorted(D.face(fid).size for _key, fid, _t in choices)))
-        return QuiddityCycle(A)
-    A = []
-    for i in range(1, s.n + 1):
-        choices = D.corner_choices(i - 1, "outer")
-        A.append(tuple(sorted(D.face(fid).size for _key, fid, _t in choices)))
-    return QuiddityCycle(A)
-
-
-@dataclass
-class CoverWindow:
-    """Copies k_lo..k_hi of the strip of a dissection (or quotient)."""
-    dissection: object
-    k_lo: int
-    k_hi: int
-
-    def corner_choices(self, g, boundary="outer"):
-        return self.dissection.corner_choices(g, boundary)
-
-    def covers(self, g):
-        n = self.dissection.surface.n
-        return self.k_lo * n <= g < (self.k_hi + 1) * n
-
-
-def cover_window(D, k_lo, k_hi):
-    """The window on copies k_lo..k_hi of the strip; matchings over it
-    may only use outer coordinates it covers."""
-    if k_lo > k_hi:
-        raise ValueError("k_lo must be <= k_hi")
-    return CoverWindow(D, k_lo, k_hi)
+        labels = range(s.m, 0, -1)
+    else:
+        labels = range(1, s.n + 1)
+    return QuiddityCycle([
+        tuple(sorted(D.face(fid).size
+                     for _key, fid, _t in D.corner_choices(i - 1, boundary)))
+        for i in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +633,7 @@ def dissection_power(D, k):
                 xa = (arc.a - 1) + c * n
                 xb = (arc.b - 1 if arc.b > arc.a else arc.b - 1 + n) + c * n
                 arcs.append(Arc("peri", xa % (k * n) + 1, xb % (k * n) + 1))
-    new_surface = annulus(k * n, k * m) if s.kind == "annulus" else punctured_disc(k * n)
-    return Dissection(new_surface, arcs)
+    return Dissection(Surface(s.kind, k * n, k * m), arcs)
 
 
 def glue_ear(D, g, p):
@@ -716,24 +661,14 @@ def glue_ear(D, g, p):
 
     arcs = []
     for arc in D.arcs:
-        if arc.kind == "diag":
-            arcs.append(Arc("diag", remap(arc.a), remap(arc.b)))
-        elif arc.kind == "peri":
-            arcs.append(Arc("peri", remap(arc.a), remap(arc.b)))
-        elif arc.kind == "bridge":
-            arcs.append(Arc("bridge", remap(arc.a), arc.b, arc.shift))
-        elif arc.kind == "bridge_disc":
-            arcs.append(Arc("bridge_disc", remap(arc.a)))
+        if arc.kind in ("diag", "peri"):
+            arcs.append(Arc(arc.kind, remap(arc.a), remap(arc.b)))
+        else:  # bridges keep their inner end
+            arcs.append(Arc(arc.kind, remap(arc.a), arc.b, arc.shift))
     ear_end = (g + p - 2) % n2 + 1
     kind = "diag" if s.kind == "polygon" else "peri"
     arcs.append(Arc(kind, g, ear_end))
-    if s.kind == "polygon":
-        new_surface = polygon(n2)
-    elif s.kind == "disc":
-        new_surface = punctured_disc(n2)
-    else:
-        new_surface = annulus(n2, s.m)
-    return Dissection(new_surface, arcs)
+    return Dissection(Surface(s.kind, n2, s.m), arcs)
 
 
 def glue_ears(D, steps):
@@ -888,26 +823,31 @@ def _rotation_inner_offset(D, r):
 # text format
 # ---------------------------------------------------------------------------
 
+# directive -> (arc kind, or None for a surface header; number of
+# integers; their usage in error messages)
+_DIRECTIVES = {
+    "polygon": (None, 1, "n"),
+    "disc": (None, 1, "n"),
+    "annulus": (None, 2, "n and m"),
+    "bridge": ("bridge", 3, "outer inner shift"),
+    "bridge-disc": ("bridge_disc", 1, "outer"),
+    "peri": ("peri", 2, "two outer vertices"),
+    "diag": ("diag", 2, "two vertices"),
+}
+_DIRECTIVE_OF = {kind or head: head for head, (kind, _k, _u) in _DIRECTIVES.items()}
+
+
 def format_dissection(D):
     """Serialize in the line format: header, one arc per line, glue lines
     for quotients."""
-    lines = []
     s = D.surface
-    if s.kind == "annulus":
-        lines.append("annulus %d %d" % (s.n, s.m))
-    elif s.kind == "disc":
-        lines.append("disc %d" % s.n)
-    else:
-        lines.append("polygon %d" % s.n)
-    for arc in D.arcs:
-        if arc.kind == "bridge":
-            lines.append("bridge %d %d %d" % (arc.a, arc.b, arc.shift))
-        elif arc.kind == "bridge_disc":
-            lines.append("bridge-disc %d" % arc.a)
-        elif arc.kind == "peri":
-            lines.append("peri %d %d" % (arc.a, arc.b))
-        else:
-            lines.append("diag %d %d" % (arc.a, arc.b))
+    rows = [(s.kind, (s.n, s.m))] + [(arc.kind, (arc.a, arc.b, arc.shift))
+                                     for arc in D.arcs]
+    lines = []
+    for kind, nums in rows:
+        head = _DIRECTIVE_OF[kind]
+        nums = nums[:_DIRECTIVES[head][1]]
+        lines.append(" ".join([head] + [str(x) for x in nums]))
     if D.is_quotient():
         for p in D.trace:
             lines.append("glue " + " ".join(str(x) for x in p))
@@ -930,43 +870,27 @@ def parse_dissection_text(text):
             nums = [int(x) for x in args]
         except ValueError:
             raise ValueError("line %d: non-integer argument" % lineno)
-        if head in ("annulus", "disc", "polygon"):
+        # glue and unknown heads are neither headers nor arcs of the table
+        kind, arity, usage = _DIRECTIVES.get(head, ("", None, None))
+        if kind is None:
             if surface is not None:
                 raise ValueError("line %d: duplicate header" % lineno)
-            if head == "annulus":
-                if len(nums) != 2:
-                    raise ValueError("line %d: annulus takes n and m" % lineno)
-                surface = annulus(*nums)
-            else:
-                if len(nums) != 1:
-                    raise ValueError("line %d: %s takes n" % (lineno, head))
-                surface = punctured_disc(nums[0]) if head == "disc" else polygon(nums[0])
-            continue
-        if surface is None:
+        elif surface is None:
             raise ValueError("line %d: arc before surface header" % lineno)
-        if head == "bridge":
-            if len(nums) != 3:
-                raise ValueError("line %d: bridge takes outer inner shift" % lineno)
-            arcs.append(Arc("bridge", nums[0], nums[1], nums[2]))
-        elif head == "bridge-disc":
-            if len(nums) != 1:
-                raise ValueError("line %d: bridge-disc takes outer" % lineno)
-            arcs.append(Arc("bridge_disc", nums[0]))
-        elif head == "peri":
-            if len(nums) != 2:
-                raise ValueError("line %d: peri takes two outer vertices" % lineno)
-            arcs.append(Arc("peri", nums[0], nums[1]))
-        elif head == "diag":
-            if len(nums) != 2:
-                raise ValueError("line %d: diag takes two vertices" % lineno)
-            arcs.append(Arc("diag", nums[0], nums[1]))
-        elif head == "glue":
+        if head == "glue":
             if len(nums) not in (2, 3):
                 raise ValueError("line %d: glue takes two face ids and an "
                                  "optional offset" % lineno)
             glues.append(tuple(nums))
-        else:
+            continue
+        if arity is None:
             raise ValueError("line %d: unknown directive %r" % (lineno, head))
+        if len(nums) != arity:
+            raise ValueError("line %d: %s takes %s" % (lineno, head, usage))
+        if kind is None:
+            surface = Surface(head, *nums)
+        else:
+            arcs.append(Arc(kind, *nums))
     if surface is None:
         raise ValueError("missing surface header")
     D = Dissection(surface, arcs)

@@ -1,5 +1,5 @@
-"""Golden CLI corpus: replay recorded runs of every verb but ``render``
-through ``dispatch`` and compare stdout and exit code byte for byte.
+"""Golden CLI corpus: replay recorded runs of every verb through
+``dispatch`` and compare stdout and exit code byte for byte.
 
 The cases and their expected output live in ``tests/golden/cases.json``;
 ``tests/golden/record.py`` re-records them.

@@ -1,12 +1,16 @@
 """Surfaces, dissections, quotients, powers, and the text format."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from artifact import (Arc, Dissection, annulus, build_dissection,
                       dissection_power, format_dissection, glue_ear,
                       make_quotient, parse_dissection_text, polygon,
-                      punctured_disc, quiddity_of, rotate_dissection,
-                      cover_window)
+                      punctured_disc, quiddity_of, rotate_dissection)
+from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
+                          random_witness)
 
 from conftest import ANNULUS_334_TEXT, cyc_eq
 
@@ -139,6 +143,66 @@ def test_format_parse_roundtrip(annulus_334):
         assert list(quiddity_of(D2).A) == list(quiddity_of(D).A)
 
 
+PROPERTY = settings(max_examples=80, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def dissections(draw):
+    """A polygon, or a disc or annulus core with ears glued on and
+    rotations between them, or a quotient witness, maybe with an ear."""
+    kind = draw(st.sampled_from(["polygon", "disc", "annulus", "quotient"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "polygon":
+        return random_polygon_dissection(rng)
+    if kind == "quotient":
+        D = random_quotient_cycle(rng)[1].witness
+        steps = draw(st.lists(st.integers(1, 40), max_size=1))
+    else:
+        k = draw(st.integers(1, 4))
+        if kind == "disc":
+            D = build_dissection(punctured_disc(k), [Arc("bridge_disc", 1)])
+        else:
+            D = build_dissection(annulus(k, draw(st.integers(1, 3))),
+                                 [Arc("bridge", 1, 1, 0)])
+        steps = draw(st.lists(st.integers(1, 40), max_size=4))
+    for g in steps:
+        D = glue_ear(D, g % D.surface.n + 1, 3 + g % 3)
+        D = rotate_dissection(D, g // 3)
+    return D
+
+
+@PROPERTY
+@given(dissections())
+@example(make_quotient(quotient_28_fixture(), [(2, 3)]))
+@example(make_quotient(quotient_28_fixture(), [(2, 3, 0)]))
+def test_format_parse_format_is_stable(D):
+    text = format_dissection(D)
+    D2 = parse_dissection_text(text)
+    assert format_dissection(D2) == text
+    assert [f.verts for f in D2.base_faces] == [f.verts for f in D.base_faces]
+
+
+_LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda head, nums: " ".join([head] + [str(x) for x in nums]),
+              st.sampled_from(["polygon", "disc", "annulus", "bridge",
+                               "bridge-disc", "peri", "diag", "glue",
+                               "torus", "#"]),
+              st.lists(st.integers(-3, 9), max_size=4)))
+
+
+@PROPERTY
+@given(st.lists(_LINES, max_size=8))
+@example(["annulus 3 3", "bridge 1 1 0", "glue 5 7"])
+@example(["annulus 3 3", "bridge 1 1 0", "bridge 2 2 0", "glue -1 0"])
+def test_parse_raises_only_value_error(lines):
+    try:
+        parse_dissection_text("\n".join(lines))
+    except ValueError:
+        pass
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_dissection_text("")
@@ -180,12 +244,70 @@ def test_dissection_power(annulus_334):
     assert list(quiddity_of(D2).A) == Q + Q
 
 
-def test_cover_window(annulus_334):
-    W = cover_window(annulus_334, -1, 1)
-    assert W.covers(-3) and W.covers(5) and not W.covers(6)
-    # corner choices in the window agree with the underlying dissection
-    assert W.corner_choices(0, "outer") == \
-        annulus_334.corner_choices(0, "outer")
+def _dissections_of_every_kind(rng):
+    """Seeded polygons, ear-glued discs, annulus witnesses, their squares
+    and the bases of quotient witnesses."""
+    out = [random_polygon_dissection(rng) for _ in range(30)]
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        D = build_dissection(punctured_disc(k), [
+            Arc("bridge_disc", a) for a in range(1, k + 1) if rng.random() < 0.6
+        ] or [Arc("bridge_disc", 1)])
+        for _e in range(rng.randint(1, 5)):
+            D = glue_ear(D, rng.randint(1, D.surface.n), rng.choice([3, 4, 5]))
+        out.append(D)
+    for _ in range(30):
+        D = random_witness(rng, {"annulus"})[1].witness
+        out += [D, dissection_power(D, 2)]
+    for _ in range(15):
+        out.append(random_quotient_cycle(rng)[1].witness.base)
+    return out
+
+
+def _corners_around(D, boundary):
+    """For every vertex: its corners as (previous, next) vertices of the
+    lifted face, translated so that the vertex itself is lift 0."""
+    s = D.surface
+
+    def lift(v, t):
+        if v[0] == "b":
+            return ("b", v[1] + t * s.n)
+        if v[0] == "t":
+            return ("t", v[1] + t * s.m)
+        return v
+
+    table = D.outer_corners if boundary == "outer" else D.inner_corners
+    for i, corners in table.items():
+        v = ("b" if boundary == "outer" else "t", i - 1)
+        rays = []
+        for fid, t in corners:
+            verts = [lift(u, t) for u in D.face(fid).verts]
+            k = verts.index(v)
+            rays.append((verts[k - 1], verts[(k + 1) % len(verts)]))
+        yield v, rays
+
+
+def test_corner_order_follows_the_boundary_walk():
+    # counterclockwise around a vertex, each corner ends on the ray where
+    # the next one starts; the first starts on the boundary edge leaving
+    # the vertex in walk order (rightward on the bottom line, leftward on
+    # the top line) and the last ends on the edge entering it
+    rng = random.Random(11)
+    kinds = set()
+    for D in _dissections_of_every_kind(rng):
+        s = D.surface
+        kinds.add(s.kind)
+        for boundary in ("outer", "inner"):
+            for v, rays in _corners_around(D, boundary):
+                step = 1 if v[0] == "b" else -1
+                leaving, entering = v[1] + step, v[1] - step
+                if s.kind == "polygon":
+                    leaving, entering = leaving % s.n, entering % s.n
+                assert rays[0][1] == (v[0], leaving), (D, v, rays)
+                assert rays[-1][0] == (v[0], entering), (D, v, rays)
+                for (prev, _nxt), (_prev2, nxt2) in zip(rays, rays[1:]):
+                    assert prev == nxt2, (D, v, rays)
+    assert kinds == {"polygon", "disc", "annulus"}
 
 
 def test_face_geometry(annulus_334):
