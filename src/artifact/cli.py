@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 mathematical negative (e.g. unrealizable cycle),
 """
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -525,7 +526,10 @@ def _cmd_render(args, out):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: building it costs
+    about sixty times as much as parsing one command line with it."""
     ap = argparse.ArgumentParser(
         prog="artifact",
         description="Exact frieze patterns, realizability by dissections, "

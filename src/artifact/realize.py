@@ -283,7 +283,8 @@ def _reduce(A):
     """Cut ears off a cycle of multisets until it fails the quiddity-level
     test, is a constant singleton cycle, or is skeletal.  Each cut takes
     the first singleton run of length >= p - 2 in the child's order and
-    shortens the cycle by p - 2, so the loop ends.
+    shortens the cycle by p - 2, so the loop ends.  A constant cycle [p]^k
+    with k != p fails: only the p-gon has every multiset [p].
 
     Returns (A, trace, steps, reason): the multisets left, the cut trace
     [(start, p)], the ``glue_ears`` step undoing each cut, in cut order,
@@ -294,7 +295,10 @@ def _reduce(A):
         verdict = _realizability_verdict(A, runs)
         run = next(((start, p) for start, length, p in runs
                     if length >= p - 2), None)
-        if not verdict.ok or _constant_singleton(A) is not None or run is None:
+        p_const = _constant_singleton(A)
+        if verdict.ok and p_const not in (None, len(A)):
+            return A, trace, steps, "constant_core_length"
+        if not verdict.ok or p_const is not None or run is None:
             return A, trace, steps, verdict.reason
         # the test passed, so the run has length exactly p-2
         try:
@@ -326,8 +330,14 @@ def _classify(Q):
         result.witness = glue_ears(result.witness, steps)
         s = result.witness.base.surface
         result.n, result.m = s.n, (s.m if s.kind == "annulus" else None)
-    if result.kind == "polygon":
-        result.n = Q.n
+    # read from the corners: quiddity_of would also build the ring entries
+    W = result.witness
+    derived = tuple(tuple(sorted(W.face(fid).size
+                                 for _key, fid, _t in W.corner_choices(g)))
+                    for g in range(W.surface.n))
+    if derived != Q.A:
+        raise AssertionError("%s witness has outer multisets %r, not the "
+                             "cycle's %r" % (result.kind, derived, Q.A))
     return result, core, steps
 
 

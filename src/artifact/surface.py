@@ -1,15 +1,19 @@
 """Combinatorial model of dissected polygons, punctured discs and annuli.
 
 Surfaces carry n outer marked points (counterclockwise) and, for annuli,
-m inner marked points.  Arcs are stored combinatorially; faces are never
-computed on the curved surface itself but in the universal cover: the
-annulus and the once-punctured disc unroll to an infinite horizontal strip
-whose bottom line carries the lifts v_i^k of the outer vertices and whose
-top line carries the lifts w_j^k of the inner vertices (a single point at
-+infinity for the disc, reached by asymptotic arcs).  A window of the strip
-is a convex polygon whose chords are the lifted arcs, so faces fall out of
-a standard non-crossing chord-diagram walk; lifted faces are then
-normalized by the period translation to give base faces.
+m inner marked points.  Arcs are stored combinatorially.  Vertices are
+named in the universal cover: the annulus and the once-punctured disc
+unroll to an infinite horizontal strip whose bottom line carries the lifts
+v_i^k of the outer vertices and whose top line carries the lifts w_j^k of
+the inner vertices (a single point at +infinity for the disc, reached by
+asymptotic arcs).  A polygon's faces come from a non-crossing chord-diagram
+walk.  Faces of a disc or annulus are walked on the surface itself, one
+period of the strip: each base vertex keeps its neighbours' lifts in
+counterclockwise order, and a dart u -> v is turned at the base lift of v
+and translated back, so every step carries its period shift as a voltage
+(Gross & Tucker, Topological Graph Theory, ch. 2).  A face is one orbit of
+that face permutation; its vertex list in strip coordinates is the lift
+the walk traces, and it closes because the net voltage of a face is 0.
 
 Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
@@ -23,9 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-# number of strip periods materialized on each side when deriving faces
-_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _translate_vertex(v, t, n, m):
 @dataclass(frozen=True)
 class Face:
     """A base face (subgon): cyclic vertex list in counterclockwise order,
-    normalized so the smallest bottom coordinate lies in [0, n)."""
+    listed from its leftmost bottom vertex, which lies in [0, n)."""
     id: int
     verts: Tuple[tuple, ...]
 
@@ -122,14 +123,16 @@ class Face:
         return [v[1] for v in self.verts if v[0] == "t"]
 
 
-def _rotate_min(seq):
-    """Lexicographically smallest rotation of a cyclic tuple."""
-    best = None
-    for r in range(len(seq)):
-        cand = seq[r:] + seq[:r]
-        if best is None or cand < best:
-            best = cand
-    return best
+def _normal_face(verts, n, m):
+    """A lifted face listed from its leftmost bottom vertex and translated t
+    periods back so that vertex lies in [0, n); returns it and t."""
+    bottom = [(v[1], k) for k, v in enumerate(verts) if v[0] == "b"]
+    if not bottom:
+        raise ValueError("face with no outer-boundary vertex")
+    x, k = min(bottom)
+    t = x // n
+    return tuple(_translate_vertex(v, -t, n, m)
+                 for v in verts[k:] + verts[:k]), t
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,21 @@ def chords_cross(a, b, c, d):
         return False
     lo, hi = min(a, b), max(a, b)
     return (lo < c < hi) != (lo < d < hi)
+
+
+def _check_nesting(spans):
+    """Raise unless chords, given as (left end, -right end) pairs of their
+    boundary positions, pairwise nest or are disjoint.  Sorted, they come
+    by left end and, for one left end, longest first; the spans still open
+    form a stack, and each new span must end inside the innermost one that
+    has not closed before it starts."""
+    open_ends = []
+    for lo, neg_hi in sorted(spans):
+        while open_ends and open_ends[-1] <= lo:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < -neg_hi:
+            raise ValueError("crossing arcs")
+        open_ends.append(-neg_hi)
 
 
 def _faces_of_chord_diagram(boundary, chords):
@@ -173,18 +191,7 @@ def _faces_of_chord_diagram(boundary, chords):
         spans.append((pu, -pv) if pu < pv else (pv, -pu))
         adj[u].append(v)
         adj[v].append(u)
-    # as (left end, -right end) pairs, spans sort by left end and, for one
-    # left end, longest first; non-crossing spans then nest: the spans
-    # still open form a stack, and each new span must end inside the
-    # innermost one that has not closed before it starts
-    spans.sort()
-    open_ends = []
-    for lo, neg_hi in spans:
-        while open_ends and open_ends[-1] <= lo:
-            open_ends.pop()
-        if open_ends and open_ends[-1] < -neg_hi:
-            raise ValueError("crossing arcs")
-        open_ends.append(-neg_hi)
+    _check_nesting(spans)
     order = {}
     for v, nbrs in adj.items():
         pv = pos[v]
@@ -307,51 +314,74 @@ class Dissection:
         s = self.surface
         n, m = s.n, s.m
         if s.kind == "polygon":
-            boundary = [("b", x) for x in range(n)]
-            chords = self._chord_lifts(0, n - 1, 0, 0)
-            complete = _faces_of_chord_diagram(boundary, chords)
+            complete = _faces_of_chord_diagram([("b", x) for x in range(n)],
+                                               self._chord_lifts(0, n - 1, 0, 0))
         else:
-            B = _WINDOW
-            x_lo, x_hi = -B * n, (B + 1) * n - 1
-            if s.kind == "annulus":
-                # top range strictly wider than any chord can reach, so the
-                # artificial closure edges never coincide with a chord
-                y_lo, y_hi = -(B + 1) * m, (B + 3) * m - 1
-                top = [("t", y) for y in range(y_hi, y_lo - 1, -1)]
-            else:
-                y_lo = y_hi = 0
-                top = [_INF]
-            bottom = [("b", x) for x in range(x_lo, x_hi + 1)]
-            boundary = bottom + top
-            artificial = {frozenset({bottom[-1], top[0]}),
-                          frozenset({top[-1], bottom[0]})}
-            # chords touching the extreme bottom columns are dropped; the
-            # truncated regions this creates reach the artificial edges and
-            # are filtered below
-            chords = self._chord_lifts(x_lo + 1, x_hi - 1, y_lo, y_hi)
-            raw = _faces_of_chord_diagram(boundary, chords)
-            complete = []
-            for f in raw:
-                k = len(f)
-                if any(frozenset({f[i], f[(i + 1) % k]}) in artificial
-                       for i in range(k)):
-                    continue
-                complete.append(f)
-        # normalize lifted faces to base faces
-        norm = {}
-        for f in complete:
-            xs = [v[1] for v in f if v[0] == "b"]
-            if not xs:
-                raise ValueError("face with no outer-boundary vertex")
-            t = min(xs) // n
-            nf = tuple(_translate_vertex(v, -t, n, m) for v in f)
-            norm[_rotate_min(nf)] = nf
-        keys = sorted(norm, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v for v in vs]))
-        self.base_faces = [Face(i, norm[k]) for i, k in enumerate(keys)]
+            complete = self._walk_faces()
+        faces = sorted((_normal_face(f, n, m)[0] for f in complete),
+                       key=lambda vs: (len(vs), [_vertex_sort_key(v) + v for v in vs]))
+        self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
             if f.size < 3:
                 raise ValueError("dissection produces a face of size < 3")
         self._index_corners()
+
+    def _walk_faces(self):
+        """Lifted vertex cycles of a disc's or annulus's faces, one per orbit
+        of the face permutation on the darts of one period."""
+        n, m = self.surface.n, self.surface.m
+        # two crossing lifts lie at most one period apart, so lifts -2..2 show
+        # every crossing; positions run rightward along the bottom, then
+        # leftward along the top from past the bottom, or to the puncture
+        chords = self._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
+        if any(q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
+            raise ValueError("duplicate arc or arc parallel to a boundary edge")
+        top = 3 * n + 4 * m
+        _check_nesting([(p[1], -q[1] if q[0] == "b" else
+                         (q[1] if q[0] == "t" else 0) - top) for p, q in chords])
+        # each base vertex's neighbours, seen from its lift at shift 0, in
+        # counterclockwise order; the puncture keeps its bridges of all five
+        # lifts, so a turn past a period's first reaches the last one before
+        rot = {("b", i): [("b", i - 1), ("b", i + 1)] for i in range(n)}
+        rot.update({("t", j): [("t", j - 1), ("t", j + 1)] for j in range(m)})
+        if self.surface.kind == "disc":
+            rot[_INF] = []
+        for p, q in chords:
+            for v, u in ((p, q), (q, p)):
+                if v in rot:
+                    rot[v].append(u)
+        turn = {}  # turn[v][u]: the vertex after v on the face left of u -> v
+        for v, nbrs in rot.items():
+            rv = _boundary_rank(v, 0, n, m)
+            nbrs.sort(key=lambda u: ((r := _boundary_rank(u, 0, n, m)) <= rv, r))
+            turn[v] = {u: nbrs[k - 1] for k, u in enumerate(nbrs)}
+
+        def anchor(u, v, t):
+            """The dart u -> v of lift t, moved so that its head (its tail at
+            the puncture) sits at shift 0, and the lift it is then read in."""
+            w = u if v is _INF else v
+            s = w[1] // (n if w[0] == "b" else m)
+            if not s:
+                return u, v, t
+            return _translate_vertex(u, -s, n, m), _translate_vertex(v, -s, n, m), t + s
+
+        # darts with the outside of the strip on their left are never walked
+        seen = {(("b", i + 1), ("b", i)) for i in range(n)}
+        seen.update((("t", j - 1), ("t", j)) for j in range(m))
+        faces = []
+        for v0, nbrs in rot.items():
+            for u0 in nbrs:
+                u, v, t = start = anchor(v0, u0, 0)
+                cyc = []
+                while (u, v) not in seen:
+                    seen.add((u, v))
+                    cyc.append(_translate_vertex(u, t, n, m))
+                    u, v, t = anchor(v, turn[v][u], t)
+                if cyc:
+                    if (u, v, t) != start:
+                        raise ValueError("a face walk does not close up")
+                    faces.append(tuple(cyc))
+        return faces
 
     def _index_corners(self):
         s = self.surface
@@ -741,17 +771,16 @@ def glue_ears(D, steps):
 def _requote(D, new, move):
     """The quotient D carried over to the base ``new``, whose faces are
     those of D.base with every vertex moved by ``move``: each face is found
-    again by its normalized vertex cycle, and a single-offset relation
-    (a, b, d) identifying lift (a, 0) with lift (b, d) becomes
+    again by its vertex cycle from the leftmost bottom vertex, and a
+    single-offset relation (a, b, d) identifying lift (a, 0) with lift
+    (b, d) becomes
     (a', b', d + t_b - t_a), where t is the period shift of a face's
     canonical representative."""
     n, m = new.surface.n, new.surface.m
-    lookup = {_rotate_min(f.verts): f.id for f in new.base_faces}
+    lookup = {f.verts: f.id for f in new.base_faces}
 
     def map_face(fid):
-        verts = [move(v) for v in D.base.face(fid).verts]
-        t = min(v[1] for v in verts if v[0] == "b") // n
-        key = _rotate_min(tuple(_translate_vertex(v, -t, n, m) for v in verts))
+        key, t = _normal_face([move(v) for v in D.base.face(fid).verts], n, m)
         if key not in lookup:
             raise AssertionError("face lost while relabelling a quotient")
         return lookup[key], t

@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour via the dispatch entry point."""
 
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact.cli import dispatch, parse_quiddity_text
 
@@ -158,3 +160,47 @@ def test_parse_quiddity_text_errors():
         parse_quiddity_text("[]")
     with pytest.raises(ValueError):
         parse_quiddity_text("3 4")
+
+
+# sizes stay small: the ring of a cycle has degree about phi(2L)/2 for L the
+# lcm of its sizes, and parsing builds it
+TOKENS = st.one_of(
+    st.sampled_from(["[", "]", ",", " ", "\t", "\n", "#", "-", "+", "03",
+                     "²", "٣"]),
+    st.integers(0, 6).map(str),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(TOKENS, max_size=24).map("".join))
+def test_parse_quiddity_text_raises_only_value_error(text):
+    try:
+        Q = parse_quiddity_text(text)
+    except ValueError:
+        return
+    assert Q.n >= 1 and all(len(a) >= 1 and min(a) >= 3 for a in Q.A)
+
+
+CYCLES = st.lists(st.lists(st.integers(3, 6), min_size=1, max_size=3),
+                  min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(CYCLES)
+def test_a_parsed_cycle_is_classified_and_realized(A):
+    text = " ".join("[%s]" % ",".join(map(str, a)) for a in A)
+    parse_quiddity_text(text)
+    for verb in ("classify", "realize"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, _out = run([verb, "-"])
+        assert code in (0, 1), (verb, text)
+
+
+def test_a_witness_of_another_cycle_is_an_internal_error(qfile, monkeypatch):
+    from artifact import realize
+    other = realize._classify_core(parse_quiddity_text("[3,3] [3,3] [3,3]"))
+    monkeypatch.setattr(realize, "_classify_core", lambda Q: other)
+    for verb in ("classify", "realize"):
+        assert run([verb, qfile("[3,3] [3,3] [3,3] [3,3]")]) == (3, "")

@@ -4,7 +4,7 @@ skeletal and quotient constructions, and witness round-trips."""
 import pytest
 
 from artifact import (FriezeTable, classify_realizability, format_dissection,
-                      growth_coefficient, quiddity_new, quiddity_of,
+                      growth_coefficient, polygon, quiddity_new, quiddity_of,
                       quotient_realize, skeletal_realize, sign_of,
                       valid_pchoices, witness_nonuniqueness_probe)
 
@@ -54,11 +54,19 @@ def test_cut_to_failing_core_is_unrealizable():
     assert cls.kind == "unrealizable"
 
 
-def test_constant_singleton_is_polygon():
-    Q = quiddity_new([(5,)] * 4)
-    cls = classify_realizability(Q)
-    assert cls.kind == "polygon" and cls.n == 4
-    assert cls.witness.surface.kind == "polygon"
+def test_constant_core_is_a_polygon_only_at_its_own_length():
+    cls = classify_realizability(quiddity_new([(5,)] * 5))
+    assert cls.kind == "polygon" and cls.n == 5
+    assert cls.witness.surface == polygon(5) and not cls.witness.arcs
+    # [5]^4 and [3]^6 have no cuts; [3,5] [5] [5] [3,5] [3] cuts down to
+    # [5]^4, and the n = 12 cycle to [5]^4 after three cuts
+    for A in ([(5,)] * 4, [(3,)] * 6, [(3, 5), (5,), (5,), (3, 5), (3,)],
+              [(4, 5), (5,), (5,), (4, 5), (4, 5), (5,), (5,), (5, 5), (5,),
+               (5,), (5,), (4, 5, 5)]):
+        cls = classify_realizability(quiddity_new(A))
+        assert cls.kind == "unrealizable", A
+        assert cls.reason == "constant_core_length"
+        assert not witness_nonuniqueness_probe(quiddity_new(A))
 
 
 def test_annulus_334_classification():
