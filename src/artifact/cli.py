@@ -102,7 +102,8 @@ def _cmd_gen(args, out):
     ncols = 2 * Q.n
     rows = [["0"] * ncols, ["1"] * ncols]
     for t in range(1, depth + 1):
-        rows.append([format_elem(F.entry(i, i + t + 1)) for i in range(ncols)])
+        # two periods of the row, each cell formatted once
+        rows.append([format_elem(e) for e in F.row(t)] * 2)
     width = max(len(c) for r in rows for c in r) + 2
     for r, cells in enumerate(rows):
         indent = " " * ((r % 2) * (width // 2))

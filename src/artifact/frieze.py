@@ -16,9 +16,10 @@ frieze table indices (i, j) are arbitrary integers with j >= i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .ring import make_context, sign_of
+from .ring import FixedMultiplier, RingElem, make_context, sign_of
 
 
 def _as_multiset(a):
@@ -33,8 +34,9 @@ def _as_multiset(a):
 class QuiddityCycle:
     """Cyclic sequence of multisets with derived ring entries.
 
-    ``A`` is stored as a tuple of sorted tuples; ``entry_at(i)`` gives the
-    derived value m_{i-1,i+1} for the 1-based cyclic position i.
+    ``A`` is stored as a tuple of sorted tuples; ``entries[i - 1]`` is the
+    derived value m_{i-1,i+1} for the 1-based position i, summed on first
+    read (classification never reads it).
     """
 
     def __init__(self, A, context=None):
@@ -52,12 +54,11 @@ class QuiddityCycle:
                 if context.L % p != 0:
                     raise ValueError("context does not cover size %d" % p)
         self.context = context
-        self.entries = tuple(
-            sum((context.lam(p) for p in a), context.zero()) for a in self.A)
 
-    def entry_at(self, i):
-        """Derived ring value at 1-based cyclic position i."""
-        return self.entries[(i - 1) % self.n]
+    @cached_property
+    def entries(self):
+        ctx = self.context
+        return tuple(sum((ctx.lam(p) for p in a), ctx.zero()) for a in self.A)
 
     def rotated(self, r):
         """The same cycle started r positions later (position 1+r first)."""
@@ -86,14 +87,32 @@ def format_quiddity(q):
 class FriezeTable:
     """Lazily computed frieze pattern determined by a quiddity cycle.
 
-    Entries are memoized on (i mod n, j - i); m_{i+n,j+n} = m_{i,j}.
+    Entries are memoized on (i mod n, j - i); m_{i+n,j+n} = m_{i,j}.  A miss
+    on m_{i,j} climbs its diagonal from i to the first two known entries
+    m_{k,j}, m_{k+1,j} (at the latest m_{j-1,j} = 1 and m_{j,j} = 0) and
+    fills back down to i, storing every entry it computes.  The fill runs
+    on coefficient tuples, with the fixed-multiplier kernel of the quiddity
+    entry m_{k,k+2}, built once per distinct multiset.  The table also
+    remembers how far it has scanned for a finite width.
     """
 
     def __init__(self, quiddity):
         self.quiddity = quiddity
         self.n = quiddity.n
-        self.context = quiddity.context
+        self.context = ctx = quiddity.context
         self._memo = {}
+        mults = {a: FixedMultiplier(ctx, a) for a in set(quiddity.A)}
+        self._mults = [mults[a] for a in quiddity.A]
+        self._trivial = (ctx.zero().coeffs, ctx.one().coeffs)
+        self._scanned = 0        # widths below this were ruled out ...
+        self._width = None       # ... or this one was found
+
+    def _known(self, k, j):
+        """The coefficients of m_{k,j} if known, else None."""
+        if j - k < 2:
+            return self._trivial[j - k]
+        hit = self._memo.get((k % self.n, j - k))
+        return None if hit is None else hit.coeffs
 
     def entry(self, i, j):
         """m_{i,j} for j >= i, by the recurrence
@@ -105,28 +124,37 @@ class FriezeTable:
             return self.context.zero()
         if d == 1:
             return self.context.one()
-        key = (i % self.n, d)
-        hit = self._memo.get(key)
+        memo, n = self._memo, self.n
+        hit = memo.get((i % n, d))
         if hit is not None:
             return hit
-        # fill the diagonal ending at j from the bottom up
-        below = self.context.zero()   # m_{j,j}
-        cur = self.context.one()      # m_{j-1,j}
-        for k in range(j - 2, i - 1, -1):
-            kkey = (k % self.n, j - k)
-            hit = self._memo.get(kkey)
-            if hit is not None:
-                below, cur = cur, hit
-                continue
-            # m_{k,k+2} is the quiddity entry centered at k+1
-            q = self.quiddity.entry_at(k + 1)
-            below, cur = cur, q * cur - below
-            self._memo[kkey] = cur
-        return cur
+        k, x, y = i, None, self._known(i + 1, j)
+        while x is None or y is None:
+            k += 1
+            x, y = y, self._known(k + 1, j)
+        # x = m_{k,j}, y = m_{k+1,j}; row k multiplies by m_{k,k+2}, the
+        # quiddity entry at position k+1
+        for k in range(k - 1, i - 1, -1):
+            x, y = self._mults[k % n].times_minus(x, y), x
+            hit = memo[(k % n, j - k)] = RingElem(self.context, x)
+        return hit
 
     def row(self, t, start=0):
         """Nontrivial row t (t >= 1): entries m_{i, i+t+1} for one period."""
         return [self.entry(i, i + t + 1) for i in range(start, start + self.n)]
+
+    def finite_width(self, limit):
+        """The first w < limit with row w+1 all ones and row w+2 all zeros
+        (the width of a finite frieze), or None.  Rows scanned by an earlier
+        call are not scanned again."""
+        one = self.context.one()
+        while self._width is None and self._scanned < limit:
+            w, self._scanned = self._scanned, self._scanned + 1
+            if all(self.entry(i, i + w + 2) == one for i in range(self.n)) and \
+               all(self.entry(i, i + w + 3).is_zero() for i in range(self.n)):
+                self._width = w
+        return None if self._width is None or self._width >= limit \
+            else self._width
 
 
 @dataclass
@@ -135,17 +163,6 @@ class ExtentReport:
     width: Optional[int]          # set when finite
     period: int
     first_nonpositive: Optional[tuple]  # (i, j) or None
-
-
-def _finite_width(F, limit):
-    """The first w < limit with row w+1 all ones and row w+2 all zeros (the
-    width of a finite frieze), or None."""
-    one = F.context.one()
-    for w in range(limit):
-        if all(F.entry(i, i + w + 2) == one for i in range(F.n)) and \
-           all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
-            return w
-    return None
 
 
 def _first_nonpositive(F, depth):
@@ -167,7 +184,7 @@ def extent(F, probe_depth):
     """
     if probe_depth < F.n + 2:
         raise ValueError("probe_depth must be at least n + 2")
-    width = _finite_width(F, probe_depth - 1)
+    width = F.finite_width(probe_depth - 1)
     interior_depth = width if width is not None else probe_depth
     first_nonpositive = _first_nonpositive(F, interior_depth)
     if width is not None:
@@ -177,7 +194,7 @@ def extent(F, probe_depth):
 
 def is_finite_within(F, depth):
     """True if an all-ones row followed by an all-zeros row occurs by depth."""
-    return _finite_width(F, depth) is not None
+    return F.finite_width(depth) is not None
 
 
 def growth_coefficient(F, k):
@@ -214,14 +231,13 @@ def check_positivity(F, depth):
     otherwise inconclusive.
     """
     n = F.n
-    width = _finite_width(F, depth)
+    width = F.finite_width(depth)
     finite = width is not None
     # a finite frieze is scanned over its interior rows only
     scan_depth = width if finite else depth
     violation = _first_nonpositive(F, scan_depth)
     two = F.context.from_int(2)
-    crit_a = all(sign_of(F.quiddity.entry_at(i) - two) >= 0
-                 for i in range(1, n + 1))
+    crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
     crit_b = False
     if not finite and scan_depth >= n and violation is None:
         s1 = growth_coefficient(F, 1)

@@ -18,6 +18,15 @@ integer each (Kronecker substitution, one signed digit per coefficient), so
 the polynomial product is a single bigint multiplication; below it the
 schoolbook product is faster.
 
+Every frieze entry comes from m_{i,j} = q m_{i+1,j} - m_{i+2,j} with q one
+of the n quiddity entries.  ``FixedMultiplier`` fuses that step: the columns
+C_k = q mu^k mod Psi of multiplication by q are sums of the columns of the
+lambda_p, kept per L.  Packed at digit width w, q x - y is read from the d
+digits of bias + sum_k x_k C_k(w), with y subtracted in the unpack.  Digit
+j of q x is sum_k x_k c_kj, below 2^bits(x) B in magnitude for the column
+bound B = max_j sum_k |c_kj| <= d max |c_kj|, so w = bits(x) + bits(B) + 1,
+rounded up to whole 64-bit words, holds every signed digit.
+
 The sign of a nonzero element is decided in integers.  The certified
 enclosure lo < mu < hi is kept as lo = a/N, hi = b/N.  With D = d - 1, the
 element's value lies between the integer sums sum_k c_k x_k^k N^(D-k),
@@ -30,6 +39,7 @@ of Psi at its midpoint.  No float enters a decision.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -139,6 +149,9 @@ def _homogeneous(poly, a, den):
 
 # Smallest degree at which the Kronecker product beats the schoolbook one.
 KRONECKER_DEGREE = 5
+# Largest ring degree phi(2L)/2 a context may have.  phi(m) >= sqrt(m/2), so
+# an L above 4 MAX_DEGREE^2 is refused without factoring it.
+MAX_DEGREE = 64
 
 
 class _Tables:
@@ -146,8 +159,9 @@ class _Tables:
 
     ``rows[m - d]`` is mu^m mod Psi for m = d..2d-2, ``enclosure`` the
     certified initial enclosure (a, b, N) of mu, ``two_cos(k)`` the
-    coefficients of 2cos(k pi/L), and ``mul`` the product kernel for the
-    degree.  Rows packed for the Kronecker product are kept per digit width.
+    coefficients of 2cos(k pi/L), ``columns(p, w)`` the columns of
+    multiplication by lambda_p, and ``mul`` the product kernel for the
+    degree.  Packed rows and columns are kept per digit width.
     """
 
     def __init__(self, L):
@@ -172,6 +186,7 @@ class _Tables:
                   default=1)
         self._slack = d.bit_length() + col.bit_length() + 1
         self._packed = {}
+        self._columns = {}
         zeros = (0,) * (d - 1)
         self._two_cos = [(2,) + zeros, self._times_mu((1,) + zeros)]
         self.enclosure = self._initial_enclosure()
@@ -209,6 +224,23 @@ class _Tables:
             t.append(tuple(x - y for x, y in
                            zip(self._times_mu(t[-1]), t[-2])))
         return t[k]
+
+    def columns(self, p, w=0):
+        """(B, C): the columns C_k = lambda_p mu^k mod Psi, k = 0..d-1, of
+        multiplication by lambda_p, packed at digit width w if w > 0, and
+        their column bound B = max_j sum_k |c_kj|."""
+        key = (p, w)
+        if key not in self._columns:
+            if w:
+                bound, cols = self.columns(p)
+                cols = [_pack(c, w) for c in cols]
+            else:
+                cols = [self.two_cos(self.L // p)]
+                for _ in range(self.degree - 1):
+                    cols.append(self._times_mu(cols[-1]))
+                bound = max(sum(map(abs, r)) for r in zip(*cols))
+            self._columns[key] = (bound, tuple(cols))
+        return self._columns[key]
 
     def _schoolbook(self, a, b):
         d = self.degree
@@ -263,6 +295,31 @@ def _tables_for(L):
     return _Tables(L)
 
 
+class FixedMultiplier:
+    """Multiplication by q = sum of lambda_p over the multiset ``sizes`` (each
+    p dividing L) fused with a subtraction: ``times_minus(x, y)`` is q x - y
+    on coefficient tuples.  The column bound of q is taken as the sum of the
+    bounds of its lambda_p."""
+
+    def __init__(self, context, sizes):
+        self._tables = context._tables
+        self._sizes = sizes
+        self._bits = sum(self._tables.columns(p)[0] for p in sizes).bit_length()
+        self._packed = {}
+
+    def times_minus(self, x, y):
+        w = (max(map(int.bit_length, x)) + self._bits + 64) >> 6 << 6
+        if w not in self._packed:
+            d, half = len(x), 1 << (w - 1)
+            cols = [self._tables.columns(p, w)[1] for p in self._sizes]
+            self._packed[w] = (tuple(map(sum, zip(*cols))),
+                               _pack((half,) * d, w), half, (1 << w) - 1,
+                               range(0, d * w, w))
+        cols, bias, half, mask, shifts = self._packed[w]
+        out = sum(map(operator.mul, x, cols), bias)
+        return tuple([(out >> s & mask) - half - c for s, c in zip(shifts, y)])
+
+
 class RingContext:
     """The ring Z[mu], mu = 2cos(pi/L), for a fixed set of subgon sizes.
 
@@ -273,7 +330,8 @@ class RingContext:
     L : int
         lcm of the levels.
     degree : int
-        Degree of the minimal polynomial of mu; equals phi(2L)/2.
+        Degree of the minimal polynomial of mu; equals phi(2L)/2, which
+        may not exceed MAX_DEGREE (ValueError).
     minpoly : tuple of int
         Monic minimal polynomial of mu, ascending coefficients.
     lambda_table : dict
@@ -295,6 +353,9 @@ class RingContext:
         for p in levels:
             L = L * p // math.gcd(L, p)
         self.L = L
+        if L > 4 * MAX_DEGREE ** 2 or _totient(2 * L) // 2 > MAX_DEGREE:
+            raise ValueError("the ring for subgon sizes %s has degree "
+                             "phi(2L)/2 above %d" % (sorted(levels), MAX_DEGREE))
         t = _tables_for(L)
         self._tables = t
         self.minpoly = t.minpoly

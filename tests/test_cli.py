@@ -137,6 +137,8 @@ def test_render_svg(qfile, tmp_path):
 def test_input_errors(qfile):
     code, _ = run(["gen", qfile("[3,3] [2,3]")])
     assert code == 2
+    for text in ("[1009]", "[10007]", "[3,7] [11,13]"):
+        assert run(["gen", qfile(text)]) == (2, "")
     code, _ = run(["classify", "/nonexistent/file.txt"])
     assert code == 2
     code, _ = run(["matchings", qfile(ANNULUS_334_TEXT),
@@ -162,12 +164,12 @@ def test_parse_quiddity_text_errors():
         parse_quiddity_text("3 4")
 
 
-# sizes stay small: the ring of a cycle has degree about phi(2L)/2 for L the
-# lcm of its sizes, and parsing builds it
+# sizes of any magnitude: parsing builds the ring of degree phi(2L)/2, L the
+# lcm of the sizes, and refuses a degree above the cap before building it
 TOKENS = st.one_of(
     st.sampled_from(["[", "]", ",", " ", "\t", "\n", "#", "-", "+", "03",
                      "²", "٣"]),
-    st.integers(0, 6).map(str),
+    st.one_of(st.integers(0, 300), st.integers(0, 10 ** 30)).map(str),
     st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
 
 

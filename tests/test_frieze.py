@@ -155,6 +155,32 @@ def test_growth_undefined_for_finite():
         growth_coefficient(F, 1)
 
 
+def scan_width(F, limit):
+    """The finite-width scan from w = 0, remembering nothing."""
+    one = F.context.one()
+    for w in range(limit):
+        if all(F.entry(i, i + w + 2) == one for i in range(F.n)) and \
+           all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
+            return w
+    return None
+
+
+def test_finite_width_remembers_its_scan(rng):
+    for A in ([[3] * a for a in (1, 3, 1, 3, 2, 2, 1, 5)],     # width 5
+              [[3], [3] * 4, [3] * 4],                          # infinite
+              [(3, 4), (3,), (3, 3, 4), (3,), (3, 4), (4,)]):   # width 3
+        F = FriezeTable(quiddity_new(A))
+        oracle = FriezeTable(quiddity_new(A))
+        for limit in [rng.randint(0, 3 * F.n + 4) for _ in range(12)]:
+            assert F.finite_width(limit) == scan_width(oracle, limit)
+            # a scan within the rows already scanned reads no entry
+            reads = []
+            F.entry = lambda i, j: reads.append((i, j))
+            F.finite_width(min(limit, F._scanned))
+            assert reads == []
+            del F.entry
+
+
 def test_cut_and_glue_are_inverse(rng):
     from artifact.cli import random_quiddity
     for _ in range(100):

@@ -4,7 +4,11 @@ The oracles are the arithmetic the kernels replaced: the schoolbook
 product reduced one top coefficient at a time by the minimal polynomial,
 and the sign read from a ``Fraction`` interval evaluation on a bisected
 ``Fraction`` enclosure of mu.  Both Kronecker and schoolbook products are
-checked in every context, whichever of the two the context selects.
+checked in every context, whichever of the two the context selects.  The
+fixed-multiplier kernel of the frieze recurrence is checked against q x - y
+through the general product, and ``FriezeTable.entry``, which climbs a
+diagonal and fills it back down with that kernel, against the diagonal walk
+it replaced.
 """
 
 import math
@@ -17,7 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact import (FriezeTable, growth_coefficient, make_context,
                       parse_quiddity_text, quiddity_new, sign_of)
-from artifact.ring import KRONECKER_DEGREE, RingElem, _tables_for
+from artifact import ring
+from artifact.ring import (KRONECKER_DEGREE, MAX_DEGREE, FixedMultiplier,
+                           RingElem, _tables_for)
 
 LEVELS = (3, 4, 5, 6, 7, 11, 12, 15, 20, 60)
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -202,6 +208,116 @@ def test_per_level_tables_keep_contexts_apart():
     for k in range(2, 6):
         prev, cur = cur, mu * cur - prev
     assert cur == c1.lam(4)
+
+
+def test_ring_degree_is_capped(monkeypatch):
+    assert make_context([255]).degree == MAX_DEGREE
+    # refused before the per-L tables are built
+    monkeypatch.setattr(ring, "_tables_for", None)
+    for levels in ([131], [1009], [10007], [16384], [16385], [7, 11, 13],
+                   [10 ** 40 + 1]):
+        with pytest.raises(ValueError, match="above %d" % MAX_DEGREE):
+            make_context(levels)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-multiplier kernel and the frieze fill
+# ---------------------------------------------------------------------------
+
+def multiplier_sizes(L, rng):
+    """lambda_p alone for every size p dividing L, and a few multisets."""
+    sizes = [p for p in range(3, L + 1) if L % p == 0]
+    return [(p,) for p in sizes] + [
+        tuple(sorted(rng.choice(sizes) for _ in range(rng.randint(2, 4))))
+        for _ in range(4)]
+
+
+def row_matched_coeffs(cols, bits):
+    """Coefficients of magnitude 2^bits - 1 with the signs of the row of
+    largest absolute sum of the matrix with columns ``cols``: that digit of
+    the product reaches its bound."""
+    row = max(zip(*cols), key=lambda r: sum(map(abs, r)))
+    m = (1 << bits) - 1
+    return tuple(m if c >= 0 else -m for c in row)
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_fixed_multiplier_matches_the_general_product(L):
+    ctx = make_context([L])
+    d = ctx.degree
+    rng = random.Random(200 + L)
+    for sizes in multiplier_sizes(L, rng):
+        M = FixedMultiplier(ctx, sizes)
+        q = sum((ctx.lam(p) for p in sizes), ctx.zero())
+        cols = [(q * RingElem(ctx, (0,) * k + (1,) + (0,) * (d - 1 - k))).coeffs
+                for k in range(d)]
+        xs = []
+        for bits in (0, 1, 3, 8, 31, 63, 64, 65, 127, 200, 400):
+            xs += [random_coeffs(rng, d, bits),
+                   extremal_coeffs(rng, d, max(bits, 1))]
+        # kernel widths just below, at and just above a multiple of 64 bits
+        for total in (63, 64, 65, 127, 128, 129, 447, 448, 449):
+            bits = total - M._bits - 1
+            if bits >= 1:
+                xs += [row_matched_coeffs(cols, bits),
+                       extremal_coeffs(rng, d, bits)]
+        for x in xs:
+            top = max(map(int.bit_length, x)) + M._bits
+            # a small y, and a y larger than q x
+            for y in (random_coeffs(rng, d, rng.choice([0, 8, 64])),
+                      extremal_coeffs(rng, d, top + 2)):
+                want = q * RingElem(ctx, x) - RingElem(ctx, y)
+                assert M.times_minus(x, y) == want.coeffs, (sizes, x, y)
+
+
+class DiagonalWalk:
+    """The frieze table as it was computed before the climb: a miss on
+    m_{i,j} walks the whole diagonal ending at j from m_{j-1,j} down to i,
+    probing every memo key and multiplying ring elements."""
+
+    def __init__(self, Q):
+        self.Q, self.n, self.memo = Q, Q.n, {}
+
+    def entry(self, i, j):
+        ctx = self.Q.context
+        if j - i < 2:
+            return ctx.one() if j - i else ctx.zero()
+        hit = self.memo.get((i % self.n, j - i))
+        if hit is not None:
+            return hit
+        below, cur = ctx.zero(), ctx.one()
+        for k in range(j - 2, i - 1, -1):
+            key = (k % self.n, j - k)
+            hit = self.memo.get(key)
+            if hit is None:
+                # m_{k,k+2} is the quiddity entry centered at k+1
+                hit = self.memo[key] = self.Q.entries[k % self.n] * cur - below
+            below, cur = cur, hit
+        return cur
+
+
+FILL_CYCLES = st.lists(st.lists(st.sampled_from([3, 4, 5, 6]), min_size=1,
+                                max_size=3), min_size=1, max_size=7)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(FILL_CYCLES, st.data())
+def test_entry_in_any_access_order_matches_the_diagonal_walk(A, data):
+    Q = quiddity_new(A)
+    n = Q.n
+    F, oracle = FriezeTable(Q), DiagonalWalk(Q)
+    cells = data.draw(st.lists(st.tuples(st.integers(-2 * n, 2 * n),
+                                         st.integers(0, 3 * n + 2)),
+                               min_size=1, max_size=40))
+    if data.draw(st.booleans()):
+        # a row-by-row prefix, as gen and the scans read the table
+        cells = [(i, t + 1) for t in range(1, 4) for i in range(n)] + cells
+    for i, d in cells:
+        assert F.entry(i, i + d) == oracle.entry(i, i + d), (i, i + d)
+    # every entry the table stored is the oracle's value
+    for (i, d), v in F._memo.items():
+        assert v == oracle.entry(i, i + d)
 
 
 # ---------------------------------------------------------------------------
