@@ -18,7 +18,8 @@ from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
                      realizability_test, is_skeletal_quiddity,
                      _realizability_verdict, _singleton_runs, _cut_multisets)
 from .surface import (Arc, annulus, punctured_disc, polygon,
-                      build_dissection, make_quotient, quiddity_of, glue_ears)
+                      build_dissection, make_quotient, glue_ears,
+                      _corner_multisets)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +247,11 @@ def quotient_realize(Q):
         except ValueError as exc:
             last_err = exc
             continue
-        derived = quiddity_of(QD)
-        if derived.A == Q.A:
+        derived = _corner_multisets(QD)
+        if derived == Q.A:
             return QD
         last_err = ValueError("quotient witness quiddity mismatch: %r vs %r"
-                              % (derived, Q))
+                              % (derived, Q.A))
     raise AssertionError("quotient construction failed: %s" % last_err)
 
 
@@ -330,11 +331,9 @@ def _classify(Q):
         result.witness = glue_ears(result.witness, steps)
         s = result.witness.base.surface
         result.n, result.m = s.n, (s.m if s.kind == "annulus" else None)
-    # read from the corners: quiddity_of would also build the ring entries
-    W = result.witness
-    derived = tuple(tuple(sorted(W.face(fid).size
-                                 for _key, fid, _t in W.corner_choices(g)))
-                    for g in range(W.surface.n))
+    # the multisets alone: a ring context would refuse a bad witness's
+    # sizes past the degree cap with a ValueError, which exits 2, not 3
+    derived = _corner_multisets(result.witness)
     if derived != Q.A:
         raise AssertionError("%s witness has outer multisets %r, not the "
                              "cycle's %r" % (result.kind, derived, Q.A))

@@ -6,14 +6,17 @@ named in the universal cover: the annulus and the once-punctured disc
 unroll to an infinite horizontal strip whose bottom line carries the lifts
 v_i^k of the outer vertices and whose top line carries the lifts w_j^k of
 the inner vertices (a single point at +infinity for the disc, reached by
-asymptotic arcs).  A polygon's faces come from a non-crossing chord-diagram
-walk.  Faces of a disc or annulus are walked on the surface itself, one
-period of the strip: each base vertex keeps its neighbours' lifts in
-counterclockwise order, and a dart u -> v is turned at the base lift of v
-and translated back, so every step carries its period shift as a voltage
-(Gross & Tucker, Topological Graph Theory, ch. 2).  A face is one orbit of
-that face permutation; its vertex list in strip coordinates is the lift
-the walk traces, and it closes because the net voltage of a face is 0.
+asymptotic arcs).  Faces are walked on the surface itself, one period of
+the strip: each base vertex keeps its neighbours' lifts in counterclockwise
+order, and a dart u -> v is turned at the base lift of v and translated
+back, so every step carries its period shift as a voltage (Gross & Tucker,
+Topological Graph Theory, ch. 2).  A face is one orbit of that face
+permutation; its vertex list in strip coordinates is the lift the walk
+traces, and it closes because the net voltage of a face is 0.  A polygon
+is one period whose boundary closes up, so all its voltages are 0.
+
+Ears and relabellings compose into one vertex map (``glue_ears``), of
+which gluing one ear and rotating the labels are one-step forms.
 
 Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _normal_face(verts, n, m):
 
 
 # ---------------------------------------------------------------------------
-# chord-diagram face walk
+# crossings
 # ---------------------------------------------------------------------------
 
 def chords_cross(a, b, c, d):
@@ -162,64 +165,6 @@ def _check_nesting(spans):
         if open_ends and open_ends[-1] < -neg_hi:
             raise ValueError("crossing arcs")
         open_ends.append(-neg_hi)
-
-
-def _faces_of_chord_diagram(boundary, chords):
-    """Faces of a convex polygon with non-crossing chords.
-
-    boundary: vertex labels in counterclockwise cyclic order (interior on
-    the left of the forward walk).  Returns a list of faces, each a tuple
-    of vertex labels in counterclockwise order, excluding the outer face.
-    Raises on crossing or duplicate chords.
-    """
-    N = len(boundary)
-    pos = {v: k for k, v in enumerate(boundary)}
-    edge_set = set()
-    adj = {v: [] for v in boundary}
-    for k, v in enumerate(boundary):
-        u = boundary[(k + 1) % N]
-        edge_set.add(frozenset({u, v}))
-        adj[v].append(u)
-        adj[u].append(v)
-    spans = []
-    for (u, v) in chords:
-        key = frozenset({u, v})
-        if key in edge_set:
-            raise ValueError("duplicate arc or arc parallel to a boundary edge")
-        edge_set.add(key)
-        pu, pv = pos[u], pos[v]
-        spans.append((pu, -pv) if pu < pv else (pv, -pu))
-        adj[u].append(v)
-        adj[v].append(u)
-    _check_nesting(spans)
-    order = {}
-    for v, nbrs in adj.items():
-        pv = pos[v]
-        nbrs.sort(key=lambda u: (pos[u] - pv) % N)
-        order[v] = {u: k for k, u in enumerate(nbrs)}
-    faces = []
-    seen = set()
-
-    def walk(u, v):
-        """Trace the face on the left of the directed edge u -> v."""
-        start = (u, v)
-        cyc = []
-        while True:
-            cyc.append(u)
-            seen.add((u, v))
-            nbrs = adj[v]
-            w = nbrs[(order[v][u] - 1) % len(nbrs)]
-            u, v = v, w
-            if (u, v) == start:
-                break
-        return tuple(cyc)
-
-    outer = walk(boundary[1], boundary[0])
-    for v in boundary:
-        for u in adj[v]:
-            if (v, u) not in seen:
-                faces.append(walk(v, u))
-    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +236,9 @@ class Dissection:
         for arc in self.arcs:
             xa = arc.a - 1
             if arc.kind == "diag":
-                chords.append((("b", xa), ("b", arc.b - 1)))
+                # smaller end first, as every other kind lifts
+                lo, hi = sorted((xa, arc.b - 1))
+                chords.append((("b", lo), ("b", hi)))
                 continue
             # each kind picks the far end of v_a^k and tests that it fits
             for k in range(-((xa - x_lo) // n), (x_hi - xa) // n + 1):
@@ -311,14 +258,8 @@ class Dissection:
         return chords
 
     def _compute_faces(self):
-        s = self.surface
-        n, m = s.n, s.m
-        if s.kind == "polygon":
-            complete = _faces_of_chord_diagram([("b", x) for x in range(n)],
-                                               self._chord_lifts(0, n - 1, 0, 0))
-        else:
-            complete = self._walk_faces()
-        faces = sorted((_normal_face(f, n, m)[0] for f in complete),
+        n, m = self.surface.n, self.surface.m
+        faces = sorted((_normal_face(f, n, m)[0] for f in self._walk_faces()),
                        key=lambda vs: (len(vs), [_vertex_sort_key(v) + v for v in vs]))
         self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
@@ -327,14 +268,18 @@ class Dissection:
         self._index_corners()
 
     def _walk_faces(self):
-        """Lifted vertex cycles of a disc's or annulus's faces, one per orbit
-        of the face permutation on the darts of one period."""
-        n, m = self.surface.n, self.surface.m
+        """Lifted vertex cycles of the faces, one per orbit of the face
+        permutation on the darts of one period.  A polygon is the period
+        itself: its boundary closes up and every voltage is 0."""
+        s = self.surface
+        n, m = s.n, s.m
         # two crossing lifts lie at most one period apart, so lifts -2..2 show
         # every crossing; positions run rightward along the bottom, then
         # leftward along the top from past the bottom, or to the puncture
         chords = self._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
-        if any(q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
+        # a diagonal listed both ways round lifts to the same chord twice
+        if len(set(chords)) < len(chords) or any(
+                q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
             raise ValueError("duplicate arc or arc parallel to a boundary edge")
         top = 3 * n + 4 * m
         _check_nesting([(p[1], -q[1] if q[0] == "b" else
@@ -342,40 +287,50 @@ class Dissection:
         # each base vertex's neighbours, seen from its lift at shift 0, in
         # counterclockwise order; the puncture keeps its bridges of all five
         # lifts, so a turn past a period's first reaches the last one before
-        rot = {("b", i): [("b", i - 1), ("b", i + 1)] for i in range(n)}
+        closed = s.kind == "polygon"
+
+        def bottom(x):  # a polygon's boundary closes up after one period
+            return ("b", x % n if closed else x)
+
+        rot = {("b", i): [bottom(i - 1), bottom(i + 1)] for i in range(n)}
         rot.update({("t", j): [("t", j - 1), ("t", j + 1)] for j in range(m)})
-        if self.surface.kind == "disc":
+        if s.kind == "disc":
             rot[_INF] = []
         for p, q in chords:
             for v, u in ((p, q), (q, p)):
                 if v in rot:
                     rot[v].append(u)
+        # a turn only reads the cyclic order, so sorting by boundary rank
+        # from any start will do, and without a top line the labels' own
+        # order is that rank
+        key = (lambda u: _boundary_rank(u, 0, n, m)) if m else None
         turn = {}  # turn[v][u]: the vertex after v on the face left of u -> v
         for v, nbrs in rot.items():
-            rv = _boundary_rank(v, 0, n, m)
-            nbrs.sort(key=lambda u: ((r := _boundary_rank(u, 0, n, m)) <= rv, r))
+            nbrs.sort(key=key)
             turn[v] = {u: nbrs[k - 1] for k, u in enumerate(nbrs)}
 
         def anchor(u, v, t):
             """The dart u -> v of lift t, moved so that its head (its tail at
             the puncture) sits at shift 0, and the lift it is then read in."""
             w = u if v is _INF else v
-            s = w[1] // (n if w[0] == "b" else m)
-            if not s:
+            k = w[1] // (n if w[0] == "b" else m)
+            if not k:
                 return u, v, t
-            return _translate_vertex(u, -s, n, m), _translate_vertex(v, -s, n, m), t + s
+            return _translate_vertex(u, -k, n, m), _translate_vertex(v, -k, n, m), t + k
 
         # darts with the outside of the strip on their left are never walked
-        seen = {(("b", i + 1), ("b", i)) for i in range(n)}
+        seen = {(bottom(i + 1), ("b", i)) for i in range(n)}
         seen.update((("t", j - 1), ("t", j)) for j in range(m))
         faces = []
         for v0, nbrs in rot.items():
             for u0 in nbrs:
+                if (v0, u0) in seen:  # an anchored dart, walked already
+                    continue
                 u, v, t = start = anchor(v0, u0, 0)
                 cyc = []
                 while (u, v) not in seen:
                     seen.add((u, v))
-                    cyc.append(_translate_vertex(u, t, n, m))
+                    cyc.append(_translate_vertex(u, t, n, m) if t else u)
                     u, v, t = anchor(v, turn[v][u], t)
                 if cyc:
                     if (u, v, t) != start:
@@ -614,12 +569,12 @@ def make_quotient(D, pairs):
 # quiddity derivation
 # ---------------------------------------------------------------------------
 
-def quiddity_of(D, boundary="outer"):
-    """Derived quiddity cycle: A_i is the multiset of sizes of the distinct
-    identification classes with a corner at v_i^0 (the small-half-circle
-    count; for plain dissections every corner is its own class, so
-    self-folded subgons contribute once per corner)."""
-    from .frieze import QuiddityCycle
+def _corner_multisets(D, boundary="outer"):
+    """A_i for each boundary vertex, read counterclockwise along that
+    boundary: the sorted sizes of the distinct identification classes with
+    a corner at v_i^0 (the small-half-circle count; for plain dissections
+    every corner is its own class, so self-folded subgons contribute once
+    per corner)."""
     s = D.surface
     if boundary == "inner":
         if s.kind != "annulus":
@@ -629,10 +584,16 @@ def quiddity_of(D, boundary="outer"):
         labels = range(s.m, 0, -1)
     else:
         labels = range(1, s.n + 1)
-    return QuiddityCycle([
+    return tuple(
         tuple(sorted(D.face(fid).size
                      for _key, fid, _t in D.corner_choices(i - 1, boundary)))
-        for i in labels])
+        for i in labels)
+
+
+def quiddity_of(D, boundary="outer"):
+    """Derived quiddity cycle, with the multisets of ``_corner_multisets``."""
+    from .frieze import QuiddityCycle
+    return QuiddityCycle(_corner_multisets(D, boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -669,45 +630,24 @@ def dissection_power(D, k):
 def glue_ear(D, g, p):
     """Attach a p-ear between outer vertices g and g+1: insert p-2 new
     outer vertices there and a peripheral arc enclosing them."""
-    if D.is_quotient():
-        new = glue_ear(D.base, g, p)
-        n, n2 = D.surface.n, new.surface.n
+    return glue_ears(D, [(g, p, 0)])
 
-        def move(v):
-            if v[0] != "b":
-                return v
-            k, i = divmod(v[1], n)
-            return ("b", (i if i < g else i + (p - 2)) + k * n2)
 
-        return _requote(D, new, move)
-    s = D.surface
-    n = s.n
-    if not 1 <= g <= n:
-        raise ValueError("glue position out of range")
-    n2 = n + (p - 2)
-
-    def remap(a):
-        return a if a <= g else a + (p - 2)
-
-    arcs = []
-    for arc in D.arcs:
-        if arc.kind in ("diag", "peri"):
-            arcs.append(Arc(arc.kind, remap(arc.a), remap(arc.b)))
-        else:  # bridges keep their inner end
-            arcs.append(Arc(arc.kind, remap(arc.a), arc.b, arc.shift))
-    ear_end = (g + p - 2) % n2 + 1
-    kind = "diag" if s.kind == "polygon" else "peri"
-    arcs.append(Arc(kind, g, ear_end))
-    return Dissection(Surface(s.kind, n2, s.m), arcs)
+def rotate_dissection(D, r):
+    """Relabel outer vertices so that old v_{1+r} becomes new v_1 (the
+    cycle read from position 1 starts r steps later); inner labels of an
+    annulus are re-anchored so all bridging shifts stay in {0,1}."""
+    return glue_ears(D, [(None, 0, r)])
 
 
 def glue_ears(D, steps):
     """Attach a sequence of ears with one build: for steps (g, p, r) in
-    order, the result equals ``rotate_dissection(glue_ear(W, g, p), r)``
-    folded over them from W = D.  Each step only inserts p - 2 outer
-    vertices after v_g and shifts the labels by r, so the steps compose
-    into one map from vertices to final labels, applied to the arcs of D,
-    to one ear arc per step and to the faces a quotient's glue names."""
+    order, glue a p-ear between outer vertices g and g+1, then rotate the
+    labels by r; a step with g None rotates only.  Each step only inserts
+    p - 2 outer vertices after v_g and shifts the labels by r, so the steps
+    compose into one map from vertices to final labels, applied to the arcs
+    of D, to one ear arc per step and to the faces a quotient's glue
+    names."""
     if not steps:
         return D
     base = D.base
@@ -719,11 +659,12 @@ def glue_ears(D, steps):
     rotated = False
     for g, p, r in steps:
         n = len(order)
-        if not 1 <= g <= n:
-            raise ValueError("glue position out of range")
-        ear_ends.append((order[g - 1], order[g % n]))
-        order[g:g] = range(n, n + p - 2)
-        wrap.extend([0] * (p - 2))
+        if g is not None:
+            if not 1 <= g <= n:
+                raise ValueError("glue position out of range")
+            ear_ends.append((order[g - 1], order[g % n]))
+            order[g:g] = range(n, n + p - 2)
+            wrap.extend([0] * (p - 2))
         r %= len(order)
         if r:
             rotated = True
@@ -790,62 +731,6 @@ def _requote(D, new, move):
         (fa, ta), (fb, tb) = map_face(rel[0]), map_face(rel[1])
         trace.append((fa, fb) if len(rel) == 2 else (fa, fb, rel[2] + tb - ta))
     return QuotientDissection(new, trace)
-
-
-def rotate_dissection(D, r):
-    """Relabel outer vertices so that old v_{1+r} becomes new v_1 (the
-    cycle read from position 1 starts r steps later); inner labels of an
-    annulus are re-anchored so all bridging shifts stay in {0,1}."""
-    if D.is_quotient():
-        shift_t = _rotation_inner_offset(D.base, r)
-        return _requote(D, rotate_dissection(D.base, r),
-                        lambda v: (v[0], v[1] - r if v[0] == "b"
-                                   else v[1] + shift_t))
-    s = D.surface
-    n = s.n
-    r %= n
-    if r == 0:
-        return D
-    if s.kind in ("polygon", "disc"):
-        arcs = []
-        for arc in D.arcs:
-            if arc.kind == "bridge_disc":
-                arcs.append(Arc("bridge_disc", (arc.a - 1 - r) % n + 1))
-            else:
-                arcs.append(Arc(arc.kind, (arc.a - 1 - r) % n + 1,
-                                (arc.b - 1 - r) % n + 1))
-        return Dissection(s, arcs)
-    m = s.m
-    t0 = _rotation_inner_offset(D, r)
-    arcs = []
-    for arc in D.arcs:
-        if arc.kind == "peri":
-            arcs.append(Arc("peri", (arc.a - 1 - r) % n + 1,
-                            (arc.b - 1 - r) % n + 1))
-        else:
-            x = (arc.a - 1) - r
-            y = (arc.b - 1) + arc.shift * m + t0
-            k = x // n
-            x -= k * n
-            y -= k * m
-            if not 0 <= y < 2 * m:
-                raise AssertionError("rotation failed to renormalize shifts")
-            arcs.append(Arc("bridge", x + 1, y % m + 1, y // m))
-    return Dissection(s, arcs)
-
-
-def _rotation_inner_offset(D, r):
-    """Inner relabeling offset making all bridging shifts land in {0,1}
-    after rotating the outer labels by r."""
-    n, m = D.surface.n, D.surface.m
-    ys = []
-    for arc in D.arcs:
-        if arc.kind == "bridge":
-            x = (arc.a - 1) - r
-            y = (arc.b - 1) + arc.shift * m
-            k = x // n
-            ys.append(y - k * m)
-    return -min(ys) if ys else 0
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,15 @@ def test_a_witness_of_another_cycle_is_an_internal_error(qfile, monkeypatch):
     monkeypatch.setattr(realize, "_classify_core", lambda Q: other)
     for verb in ("classify", "realize"):
         assert run([verb, qfile("[3,3] [3,3] [3,3] [3,3]")]) == (3, "")
+
+
+def test_a_witness_past_the_ring_degree_cap_is_an_internal_error(
+        qfile, monkeypatch):
+    # the post-condition compares multisets only: the ring of a 1009-gon
+    # is past the degree cap and would turn the check into a refused input
+    from artifact import build_dissection, polygon, realize
+    big = realize.Classification(
+        "polygon", n=1009, witness=build_dissection(polygon(1009), []))
+    monkeypatch.setattr(realize, "_classify_core", lambda Q: big)
+    for verb in ("classify", "realize"):
+        assert run([verb, qfile("[3,3] [3,3] [3,3] [3,3]")]) == (3, "")

@@ -1,12 +1,14 @@
-"""The one-period face walk against the strip-window walk it replaces.
+"""The one-period face walk against the chord-diagram walks it replaces.
 
-``Dissection`` walks the faces of a disc or annulus on the surface itself,
-one orbit of the face permutation per face.  The reference lifts every arc
-into a window of 2*4 + 1 bottom periods, walks all faces of that convex
-chord diagram, drops the faces cut by the two closing edges of the window
-and keeps one translate of each of the rest.  Both must give the same
-faces, in the same order, the same corner tables and corner choices, or
-raise the same ``ValueError`` message.
+``Dissection`` walks the faces of every surface on one period, one orbit of
+the face permutation per face; a polygon is the period itself, with every
+voltage 0.  The reference walks a polygon's faces as a convex chord diagram
+directly.  For a disc or annulus it lifts every arc into a window of
+2*4 + 1 bottom periods, walks all faces of that convex chord diagram, drops
+the faces cut by the two closing edges of the window and keeps one
+translate of each of the rest.  Both must give the same faces, in the same
+order, the same corner tables and corner choices, or raise the same
+``ValueError`` message.
 """
 
 import functools
@@ -17,17 +19,77 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact import (Arc, annulus, dissection_power, glue_ears,
-                      parse_dissection_text, punctured_disc, rotate_dissection)
+                      parse_dissection_text, polygon, punctured_disc,
+                      rotate_dissection)
 from artifact import surface as surface_module
 from artifact.cli import random_quotient_cycle, random_witness
 from artifact.realize import _classify
-from artifact.surface import (Dissection, Face, _INF, _faces_of_chord_diagram,
-                              _translate_vertex, _vertex_sort_key)
+from artifact.surface import (Dissection, Face, _INF, _check_nesting,
+                              _normal_face, _translate_vertex,
+                              _vertex_sort_key, chords_cross)
 
 from conftest import ANNULUS_334_TEXT
 from test_glue_ears_differential import ear_glued
 
 WINDOW = 4
+
+
+def faces_of_chord_diagram(boundary, chords):
+    """Faces of a convex polygon with non-crossing chords.
+
+    boundary: vertex labels in counterclockwise cyclic order (interior on
+    the left of the forward walk).  Returns a list of faces, each a tuple
+    of vertex labels in counterclockwise order, excluding the outer face.
+    Raises on crossing or duplicate chords.
+    """
+    N = len(boundary)
+    pos = {v: k for k, v in enumerate(boundary)}
+    edge_set = set()
+    adj = {v: [] for v in boundary}
+    for k, v in enumerate(boundary):
+        u = boundary[(k + 1) % N]
+        edge_set.add(frozenset({u, v}))
+        adj[v].append(u)
+        adj[u].append(v)
+    spans = []
+    for (u, v) in chords:
+        key = frozenset({u, v})
+        if key in edge_set:
+            raise ValueError("duplicate arc or arc parallel to a boundary edge")
+        edge_set.add(key)
+        pu, pv = pos[u], pos[v]
+        spans.append((pu, -pv) if pu < pv else (pv, -pu))
+        adj[u].append(v)
+        adj[v].append(u)
+    _check_nesting(spans)
+    order = {}
+    for v, nbrs in adj.items():
+        pv = pos[v]
+        nbrs.sort(key=lambda u: (pos[u] - pv) % N)
+        order[v] = {u: k for k, u in enumerate(nbrs)}
+    faces = []
+    seen = set()
+
+    def walk(u, v):
+        """Trace the face on the left of the directed edge u -> v."""
+        start = (u, v)
+        cyc = []
+        while True:
+            cyc.append(u)
+            seen.add((u, v))
+            nbrs = adj[v]
+            w = nbrs[(order[v][u] - 1) % len(nbrs)]
+            u, v = v, w
+            if (u, v) == start:
+                break
+        return tuple(cyc)
+
+    walk(boundary[1], boundary[0])  # the outer face
+    for v in boundary:
+        for u in adj[v]:
+            if (v, u) not in seen:
+                faces.append(walk(v, u))
+    return faces
 
 
 def _rotate_min(seq):
@@ -36,13 +98,17 @@ def _rotate_min(seq):
 
 
 class WindowDissection(Dissection):
-    """A dissection whose disc or annulus faces come from a strip window."""
+    """A dissection whose polygon faces come from its chord diagram and
+    whose disc or annulus faces come from a strip window."""
 
     def _compute_faces(self):
         s = self.surface
-        if s.kind == "polygon":
-            return super()._compute_faces()
         n, m = s.n, s.m
+        if s.kind == "polygon":
+            arcs = [(("b", arc.a - 1), ("b", arc.b - 1)) for arc in self.arcs]
+            faces = [_normal_face(f, n, m)[0] for f in faces_of_chord_diagram(
+                [("b", x) for x in range(n)], arcs)]
+            return self._keep(faces)
         x_lo, x_hi = -WINDOW * n, (WINDOW + 1) * n - 1
         if s.kind == "annulus":
             # top range strictly wider than any chord can reach, so the
@@ -59,7 +125,7 @@ class WindowDissection(Dissection):
         # truncated regions reach the closing edges and are filtered
         chords = self._chord_lifts(x_lo + 1, x_hi - 1, y_lo, y_hi)
         norm = {}
-        for f in _faces_of_chord_diagram(bottom + top, chords):
+        for f in faces_of_chord_diagram(bottom + top, chords):
             k = len(f)
             if any(frozenset({f[i], f[(i + 1) % k]}) in artificial
                    for i in range(k)):
@@ -70,9 +136,14 @@ class WindowDissection(Dissection):
             t = min(xs) // n
             nf = tuple(_translate_vertex(v, -t, n, m) for v in f)
             norm[_rotate_min(nf)] = nf
-        keys = sorted(norm, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
-                                                      for v in vs]))
-        self.base_faces = [Face(i, norm[k]) for i, k in enumerate(keys)]
+        self._keep(norm.values())
+
+    def _keep(self, faces):
+        """Number the faces by the production sort and index their
+        corners."""
+        faces = sorted(faces, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
+                                                        for v in vs]))
+        self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
             if f.size < 3:
                 raise ValueError("dissection produces a face of size < 3")
@@ -185,7 +256,66 @@ def test_random_arc_soups(kind):
     assert 50 < valid < 550
 
 
+def polygon_chords(rng, n):
+    """A diagonal soup of an n-gon, crossing or not, with reversed
+    duplicates, adjacent or equal ends, and exact duplicates mixed in."""
+    arcs = []
+    for _ in range(rng.randint(0, n)):
+        if arcs and rng.random() < 0.15:
+            a, b = rng.choice(arcs)
+            arcs.append((b, a) if rng.random() < 0.8 else (a, b))
+        elif rng.random() < 0.1:
+            a = rng.randint(1, n)
+            arcs.append((a, rng.choice([a, a % n + 1, (a - 2) % n + 1])))
+        else:
+            arcs.append(tuple(rng.sample(range(1, n + 1), 2)))
+    return [Arc("diag", a, b) for a, b in arcs]
+
+
+def noncrossing_chords(rng, n):
+    """A valid diagonal set of an n-gon, each diagonal in a random
+    direction."""
+    arcs = []
+    cand = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)
+            if (a, b) != (1, n)]
+    rng.shuffle(cand)
+    for a, b in cand[:rng.randint(0, len(cand))]:
+        if not any(chords_cross(a, b, c, d) for c, d in arcs):
+            arcs.append((a, b))
+    return [Arc("diag", *((b, a) if rng.random() < 0.5 else (a, b)))
+            for a, b in arcs]
+
+
+def test_polygon_faces_match_the_chord_diagram():
+    rng = random.Random("polygon")
+    errors = set()
+    valid = 0
+    for _ in range(1500):
+        n = rng.randint(3, 14)
+        arcs = polygon_chords(rng, n)
+        got = outcome(Dissection, polygon(n), arcs)
+        assert got == outcome(WindowDissection, polygon(n), arcs), (n, arcs)
+        if isinstance(got, str):
+            errors.add(got)
+        else:
+            valid += 1
+    for n in range(3, 31):
+        for _ in range(8):
+            arcs = noncrossing_chords(rng, n)
+            got = outcome(Dissection, polygon(n), arcs)
+            assert got == outcome(WindowDissection, polygon(n), arcs), (n, arcs)
+            assert not isinstance(got, str)
+    # every refusal a diagonal soup can meet, and valid soups, including
+    # the empty one, are exercised
+    assert errors == {
+        "error: duplicate arcs", "error: crossing arcs",
+        "error: diagonal must join non-adjacent vertices",
+        "error: duplicate arc or arc parallel to a boundary edge"}
+    assert valid > 200
+
+
 LINES = st.one_of(
+    st.tuples(st.just("diag"), st.integers(0, 7), st.integers(0, 7)),
     st.tuples(st.just("peri"), st.integers(0, 6), st.integers(0, 6)),
     st.tuples(st.just("bridge"), st.integers(0, 6), st.integers(0, 4),
               st.integers(-1, 2)),
@@ -206,9 +336,10 @@ def parsed(text, cls):
 
 @settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["annulus", "disc"]), st.integers(1, 5),
+@given(st.sampled_from(["annulus", "disc", "polygon"]), st.integers(1, 5),
        st.integers(1, 4), st.lists(LINES, max_size=9))
 def test_parsed_dissections_match_the_window(kind, n, m, lines):
-    header = "annulus %d %d" % (n, m) if kind == "annulus" else "disc %d" % n
+    header = {"annulus": "annulus %d %d" % (n, m), "disc": "disc %d" % n,
+              "polygon": "polygon %d" % (n + 2)}[kind]
     text = "\n".join([header] + lines)
     assert parsed(text, Dissection) == parsed(text, WindowDissection)

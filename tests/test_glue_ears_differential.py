@@ -1,30 +1,123 @@
-"""One-shot ear assembly against the per-cut chain it replaces.
+"""One relabelling map against the per-step relabellings it replaces.
 
 ``glue_ears`` composes every ear insertion and relabelling into one vertex
-map and builds the dissection once.  The reference is the chain of
-``glue_ear`` then ``rotate_dissection`` per step, which rebuilds the
-dissection twice per ear; both must print the same dissection text, byte
-for byte.
+map and builds the dissection once; ``glue_ear`` and ``rotate_dissection``
+are its one-step forms.  The reference glues one ear and rotates one
+dissection with their own arc loops and quotient branches, and chains
+them per step, which rebuilds the dissection twice per ear; all must print
+the same dissection text, byte for byte, or raise the same error.
 """
 
+import functools
 import random
 
 import pytest
 
-from artifact import (cut, format_dissection, glue, glue_ear, glue_ears,
-                      parse_dissection_text, quiddity_new, quiddity_of,
-                      rotate_dissection, valid_pchoices,
-                      witness_nonuniqueness_probe)
+from artifact import (Arc, Dissection, Surface, cut, format_dissection,
+                      glue, glue_ear, glue_ears, parse_dissection_text,
+                      quiddity_new, quiddity_of, rotate_dissection,
+                      valid_pchoices, witness_nonuniqueness_probe)
 from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
                           random_witness)
 from artifact.realize import _classify, _classify_core, _construct
+from artifact.surface import _requote
 
 from conftest import ANNULUS_334_TEXT
 
 
+def reference_glue_ear(D, g, p):
+    """Attach a p-ear between outer vertices g and g+1 with an arc loop of
+    its own."""
+    if D.is_quotient():
+        new = reference_glue_ear(D.base, g, p)
+        n, n2 = D.surface.n, new.surface.n
+
+        def move(v):
+            if v[0] != "b":
+                return v
+            k, i = divmod(v[1], n)
+            return ("b", (i if i < g else i + (p - 2)) + k * n2)
+
+        return _requote(D, new, move)
+    s = D.surface
+    n = s.n
+    if not 1 <= g <= n:
+        raise ValueError("glue position out of range")
+    n2 = n + (p - 2)
+
+    def remap(a):
+        return a if a <= g else a + (p - 2)
+
+    arcs = []
+    for arc in D.arcs:
+        if arc.kind in ("diag", "peri"):
+            arcs.append(Arc(arc.kind, remap(arc.a), remap(arc.b)))
+        else:  # bridges keep their inner end
+            arcs.append(Arc(arc.kind, remap(arc.a), arc.b, arc.shift))
+    ear_end = (g + p - 2) % n2 + 1
+    kind = "diag" if s.kind == "polygon" else "peri"
+    arcs.append(Arc(kind, g, ear_end))
+    return Dissection(Surface(s.kind, n2, s.m), arcs)
+
+
+def reference_rotate(D, r):
+    """Relabel outer vertices so that old v_{1+r} becomes new v_1, with an
+    arc loop per kind of its own."""
+    if D.is_quotient():
+        shift_t = _rotation_inner_offset(D.base, r)
+        return _requote(D, reference_rotate(D.base, r),
+                        lambda v: (v[0], v[1] - r if v[0] == "b"
+                                   else v[1] + shift_t))
+    s = D.surface
+    n = s.n
+    r %= n
+    if r == 0:
+        return D
+    if s.kind in ("polygon", "disc"):
+        arcs = []
+        for arc in D.arcs:
+            if arc.kind == "bridge_disc":
+                arcs.append(Arc("bridge_disc", (arc.a - 1 - r) % n + 1))
+            else:
+                arcs.append(Arc(arc.kind, (arc.a - 1 - r) % n + 1,
+                                (arc.b - 1 - r) % n + 1))
+        return Dissection(s, arcs)
+    m = s.m
+    t0 = _rotation_inner_offset(D, r)
+    arcs = []
+    for arc in D.arcs:
+        if arc.kind == "peri":
+            arcs.append(Arc("peri", (arc.a - 1 - r) % n + 1,
+                            (arc.b - 1 - r) % n + 1))
+        else:
+            x = (arc.a - 1) - r
+            y = (arc.b - 1) + arc.shift * m + t0
+            k = x // n
+            x -= k * n
+            y -= k * m
+            if not 0 <= y < 2 * m:
+                raise AssertionError("rotation failed to renormalize shifts")
+            arcs.append(Arc("bridge", x + 1, y % m + 1, y // m))
+    return Dissection(s, arcs)
+
+
+def _rotation_inner_offset(D, r):
+    """Inner relabeling offset making all bridging shifts land in {0,1}
+    after rotating the outer labels by r."""
+    n, m = D.surface.n, D.surface.m
+    ys = []
+    for arc in D.arcs:
+        if arc.kind == "bridge":
+            x = (arc.a - 1) - r
+            y = (arc.b - 1) + arc.shift * m
+            k = x // n
+            ys.append(y - k * m)
+    return -min(ys) if ys else 0
+
+
 def chain(D, steps):
     for g, p, r in steps:
-        D = rotate_dissection(glue_ear(D, g, p), r)
+        D = reference_rotate(reference_glue_ear(D, g, p), r)
     return D
 
 
@@ -144,3 +237,43 @@ def test_glue_position_out_of_range():
     D = parse_dissection_text(ANNULUS_334_TEXT)
     with pytest.raises(ValueError):
         glue_ears(D, [(4, 3, 0)])
+
+
+def printed(f, *args):
+    """The text of f(*args), or the type and message of its error."""
+    try:
+        return format_dissection(f(*args))
+    except (ValueError, AssertionError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@functools.lru_cache(maxsize=None)
+def relabelling_corpus():
+    """22 dissections: polygons, discs, annuli and quotients, plain and
+    ear-glued."""
+    rng = random.Random(17)
+    out = [parse_dissection_text(ANNULUS_334_TEXT)]
+    out += [random_polygon_dissection(rng) for _ in range(5)]
+    out += [random_witness(rng, ("annulus",))[1].witness for _ in range(5)]
+    out += [_classify(ear_glued(core, rng.randint(3, 14), rng))[0].witness
+            for core in ([(3, 3)], [(4, 4), (4,)], [(3, 3)])]
+    out += [random_quotient_cycle(rng)[1].witness for _ in range(6)]
+    out += [_classify(ear_glued(CORES[name][0], rng.randint(10, 18), rng))[0]
+            .witness for name in ("quotient-offset", "quotient-self-wrap")]
+    assert len(out) == 22
+    return out
+
+
+@pytest.mark.parametrize("idx", range(22))
+def test_one_step_forms_match_the_reference(idx):
+    D = relabelling_corpus()[idx]
+    n = D.surface.n
+    for r in range(-n - 1, 2 * n + 2):
+        assert printed(rotate_dissection, D, r) == printed(
+            reference_rotate, D, r), r
+    for g in range(0, n + 2):
+        for p in range(3, 7):
+            assert printed(glue_ear, D, g, p) == printed(
+                reference_glue_ear, D, g, p), (g, p)
+    assert printed(glue_ear, D, 0, 3) == (
+        "ValueError: glue position out of range")

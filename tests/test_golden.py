@@ -1,5 +1,5 @@
 """Golden CLI corpus: replay recorded runs of every verb through
-``dispatch`` and compare stdout and exit code byte for byte.
+``dispatch`` and compare exit code, stdout and stderr byte for byte.
 
 The cases and their expected output live in ``tests/golden/cases.json``;
 ``tests/golden/record.py`` re-records them.
@@ -17,7 +17,8 @@ with open(CASES) as _fh:
 
 @pytest.mark.parametrize("case", _CASES, ids=[c["name"] for c in _CASES])
 def test_golden_cli_output(case):
-    code, stdout = run_case(case["argv"])
+    code, stdout, stderr = run_case(case["argv"])
     assert stdout == case["stdout"]
+    assert stderr == case["stderr"]
     assert code == case["exit"]
 

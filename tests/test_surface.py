@@ -59,8 +59,7 @@ def test_crossing_arcs_rejected():
 def test_crossing_check_matches_the_pairwise_predicate():
     # the stack pass over sorted spans rejects a chord set exactly when
     # some pair of its chords crosses
-    import random
-    from artifact.surface import _faces_of_chord_diagram, chords_cross
+    from artifact.surface import chords_cross
     rng = random.Random(5)
     outcomes = set()
     for _ in range(400):
@@ -73,7 +72,8 @@ def test_crossing_check_matches_the_pairwise_predicate():
                        for c, d in chords[:k])
         chords = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in chords]
         try:
-            _faces_of_chord_diagram(list(range(n)), chords)
+            Dissection(polygon(n), [Arc("diag", a + 1, b + 1)
+                                    for a, b in chords])
             rejected = False
         except ValueError:
             rejected = True
