@@ -15,6 +15,7 @@ frieze table indices (i, j) are arbitrary integers with j >= i.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -269,47 +270,49 @@ def cut(Q, i, p):
     all-lambda_p cycle has no cut.  The child keeps the original cyclic
     order, starting from the first surviving position.
     """
-    A, _info = _cut_multisets(Q.A, i, p)
+    A = [list(a) for a in Q.A]
+    _cut_in_place(A, (i - 1) % Q.n, p)
     return QuiddityCycle(A, Q.context)
 
 
-def _cut_multisets(A, i, p):
-    """The cut of ``cut`` on a plain tuple of multisets.  Returns the
-    child's multisets and the step (g, p, r) of ``surface.glue_ears`` that
-    glues the ear back onto a witness of the child: insert it after the
-    left flank, v_g of the child, then relabel by r so that the parent's
-    first position leads again."""
-    n = len(A)
+def _cut_in_place(L, first, p):
+    """The cut of ``cut`` at the 0-based ``first``, done in place on the
+    list L of multisets, each a sorted list; L is left as it was when the
+    cut is refused with ValueError.  Returns the step (g, p, r) of
+    ``surface.glue_ears`` that glues the ear back onto a witness of the
+    child: insert it after the left flank, v_g of the child, then relabel
+    by r so that the parent's first position leads again.  The right
+    flank follows v_g."""
+    n = len(L)
     if p < 3:
         raise ValueError("p must be >= 3")
     if n == p - 2:
         raise ValueError("cut undefined when n = p - 2")
     if n < p - 1:
         raise ValueError("period too small to cut a %d-ear" % p)
-    first = (i - 1) % n           # 0-based; the interval is first..end-1 mod n
-    end = first + p - 2
-    if any(A[pos % n] != (p,) for pos in range(first, end)):
+    end = first + p - 2          # the interval is first..end-1 mod n
+    if any(L[pos % n] != [p] for pos in range(first, end)):
         raise ValueError("interval is not a constant {%d} run" % p)
-    left = (first - 1) % n
-    right = end % n
-    if end <= n:
-        survivors = list(range(first)) + list(range(end, n))
-        child = list(A[:first] + A[end:])
-    else:
-        survivors = list(range(end - n, first))
-        child = list(A[end - n:first])
-    g = survivors.index(left)
-    for k in (g, survivors.index(right)):
-        entry = list(child[k])
-        if p not in entry:
+    left, right = (first - 1) % n, end % n
+    # the last copies of p go, so a flank [3,...,3,4] loses a 3 in O(log n)
+    for k, copies in ((left, 1), (right, 1 + (left == right))):
+        j = bisect_right(L[k], p)
+        if j < copies or L[k][j - copies] != p:
             raise ValueError(
                 "flanking multiset lacks %d; cut would create an invalid entry" % p)
-        entry.remove(p)
-        if not entry:
+        if len(L[k]) == copies:
             raise ValueError(
                 "flanking multiset exhausted; cut would create an invalid entry")
-        child[k] = tuple(entry)
-    return tuple(child), (g + 1, p, -survivors[0])
+    for k in (left, right):
+        del L[k][bisect_right(L[k], p) - 1]
+    if end > n:                  # the run crosses the head
+        head = end - n
+        del L[first:]
+        del L[:head]
+    else:
+        head = 0 if first else end
+        del L[first:end]
+    return (first - head if first else len(L)), p, -head
 
 
 def glue(Q, p, i):
@@ -338,30 +341,33 @@ def singleton_runs(Q):
     cycle consisting entirely of {p} singletons yields the single run
     (1, n, p).
     """
-    return _singleton_runs(Q.A)
+    A = Q.A
+    if len(A[0]) == 1 and A.count(A[0]) == len(A):
+        return [(1, len(A), A[0][0])]
+    return [(s + 1, length, A[s][0]) for s, length in _runs_from(A, 0)]
 
 
-def _singleton_runs(A):
+def _runs_from(A, k):
+    """(start, length) of each maximal cyclic run of singleton entries
+    that starts at a 0-based position >= k, in order.  The one run of a
+    constant singleton cycle has no start, so it yields nothing."""
     n = len(A)
-    runs = []
-    is_single = [len(a) == 1 for a in A]
-    if all(is_single) and len(set(A)) == 1:
-        return [(1, n, A[0][0])]
-    covered = [False] * n
-    for s in range(n):
-        if not is_single[s] or covered[s]:
-            continue
-        prev = (s - 1) % n
-        if is_single[prev] and A[prev] == A[s]:
-            continue  # not the start of a maximal run
-        length = 0
-        pos = s
-        while is_single[pos] and A[pos] == A[s] and length < n:
-            covered[pos] = True
-            length += 1
-            pos = (pos + 1) % n
-        runs.append((s + 1, length, A[s][0]))
-    return runs
+    while k < n:
+        if len(A[k]) == 1 and A[k - 1] != A[k]:
+            length = 1
+            while length < n and A[(k + length) % n] == A[k]:
+                length += 1
+            yield k, length
+            k += length
+        else:
+            k += 1
+
+
+def _meets(a, b):
+    """True when neighbouring multisets share a size (sets the shorter)."""
+    if len(a) > len(b):
+        a, b = b, a
+    return not set(a).isdisjoint(b)
 
 
 @dataclass
@@ -379,20 +385,19 @@ def realizability_test(Q):
     some p has a cyclic run of more than p-2 consecutive singleton-{p}
     entries while not every entry is {p}.
     """
-    return _realizability_verdict(Q.A, _singleton_runs(Q.A))
+    return _realizability_verdict(Q.A)
 
 
-def _realizability_verdict(A, runs):
-    """The test on a plain tuple of multisets, given their singleton runs."""
+def _realizability_verdict(A):
+    """The test on a plain tuple of multisets."""
     n = len(A)
     for i in range(n):
-        if not set(A[i]) & set(A[(i + 1) % n]):
+        if not _meets(A[i], A[(i + 1) % n]):
             return TestVerdict(False, "empty_intersection", position=i + 1)
-    all_same_singleton = all(a == A[0] and len(a) == 1 for a in A)
-    if not all_same_singleton:
-        for start, length, p in runs:
-            if length > p - 2:
-                return TestVerdict(False, "long_run", position=start, p=p)
+    for start, length in _runs_from(A, 0):
+        p = A[start][0]
+        if length > p - 2:
+            return TestVerdict(False, "long_run", position=start + 1, p=p)
     return TestVerdict(True)
 
 

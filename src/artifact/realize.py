@@ -16,7 +16,8 @@ from typing import Optional
 from .ring import sign_of
 from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
                      realizability_test, is_skeletal_quiddity,
-                     _realizability_verdict, _singleton_runs, _cut_multisets)
+                     _realizability_verdict, _runs_from, _meets,
+                     _cut_in_place)
 from .surface import (Arc, annulus, punctured_disc, polygon,
                       build_dissection, make_quotient, glue_ears,
                       _corner_multisets)
@@ -274,12 +275,6 @@ class Classification:
         return self.kind != "unrealizable"
 
 
-def _constant_singleton(A):
-    if all(len(a) == 1 and a == A[0] for a in A):
-        return A[0][0]
-    return None
-
-
 def _reduce(A):
     """Cut ears off a cycle of multisets until it fails the quiddity-level
     test, is a constant singleton cycle, or is skeletal.  Each cut takes
@@ -287,27 +282,57 @@ def _reduce(A):
     shortens the cycle by p - 2, so the loop ends.  A constant cycle [p]^k
     with k != p fails: only the p-gon has every multiset [p].
 
+    One sweep: the cycle is tested once, then each cut is made in place
+    and only the three adjacencies at its flanks and the runs through them
+    are tested again; the test passed before the cut, so nothing else can
+    fail.  Runs starting before ``scan`` are shorter than p - 2, so the
+    next cut is looked for from there and a cut costs its neighbourhood.
+
     Returns (A, trace, steps, reason): the multisets left, the cut trace
     [(start, p)], the ``glue_ears`` step undoing each cut, in cut order,
     and the failure reason (None when the cycle left passes the test)."""
-    trace, steps = [], []
-    while True:
-        runs = _singleton_runs(A)
-        verdict = _realizability_verdict(A, runs)
-        run = next(((start, p) for start, length, p in runs
-                    if length >= p - 2), None)
-        p_const = _constant_singleton(A)
-        if verdict.ok and p_const not in (None, len(A)):
-            return A, trace, steps, "constant_core_length"
-        if not verdict.ok or p_const is not None or run is None:
-            return A, trace, steps, verdict.reason
+    reason = _realizability_verdict(A).reason
+    L, trace, steps = [list(a) for a in A], [], []
+    multi = sum(len(a) > 1 for a in A)   # 0 and passing: constant
+    scan = 0
+    while reason is None and multi:
+        first = next((s for s, length in _runs_from(L, scan)
+                      if length >= L[s][0] - 2), None)
+        if first is None:
+            break
         # the test passed, so the run has length exactly p-2
+        p, n = L[first][0], len(L)
         try:
-            A, step = _cut_multisets(A, *run)
+            step = _cut_in_place(L, first, p)
         except ValueError:
-            return A, trace, steps, "cut_underflow"
-        trace.append(run)
+            reason = "cut_underflow"
+            break
+        trace.append((first + 1, p))
         steps.append(step)
+        m = len(L)
+        # a cut across the head keeps only positions before its run
+        scan = first if first + p - 2 <= n else m
+        left, right = step[0] - 1, step[0] % m
+        if not (_meets(L[left - 1], L[left]) and _meets(L[left], L[right])
+                and _meets(L[right], L[(right + 1) % m])):
+            reason = "empty_intersection"
+            break
+        flanks = {f for f in (left, right) if len(L[f]) == 1}
+        multi -= len(flanks)
+        if not multi:
+            break
+        for f in flanks:
+            start = f
+            while L[start - 1] == L[f]:
+                start -= 1
+            start, length = next(_runs_from(L, start % m))
+            if length > L[f][0] - 2:
+                reason = "long_run"
+            elif length == L[f][0] - 2:
+                scan = min(scan, start)
+    if reason is None and not multi and L[0][0] != len(L):
+        reason = "constant_core_length"
+    return (tuple(map(tuple, L)) if trace else A), trace, steps, reason
 
 
 def classify_realizability(Q):
@@ -342,9 +367,8 @@ def _classify(Q):
 
 def _classify_core(Q):
     """Classify a cycle that passes the test and has no ear left to cut."""
-    p_const = _constant_singleton(Q.A)
-    if p_const is not None:
-        witness = build_dissection(polygon(p_const), [])
+    if all(len(a) == 1 for a in Q.A):     # it passed the test: [n]^n
+        witness = build_dissection(polygon(Q.n), [])
         return Classification("polygon", n=Q.n, witness=witness)
 
     kind, D = skeletal_realize(Q)

@@ -149,15 +149,16 @@ def test_quotient_roundtrip_random(rng):
         assert list(quiddity_of(cls.witness).A) == list(Q.A)
 
 
-def _three_ear_cycle(n):
+def _three_ear_cycle(n, at_tail=False):
     """The annulus core [3,3,4] [3] [3,3,4,4] with 3-ears glued at
-    random.Random(1) positions up to period n: ``glue(Q, 3, i)`` done on
-    plain lists, which avoids recomputing ring entries per ear."""
+    random.Random(1) positions up to period n, or each between positions
+    n and 1 ``at_tail``: ``glue(Q, 3, i)`` done on plain lists, which
+    avoids recomputing ring entries per ear."""
     import random
     rng = random.Random(1)
     A = [[3, 3, 4], [3], [3, 3, 4, 4]]
     while len(A) < n:
-        i = rng.randint(1, len(A))
+        i = len(A) if at_tail else rng.randint(1, len(A))
         A[i - 1].append(3)
         A[i % len(A)].append(3)
         A.insert(i, [3])
@@ -183,3 +184,13 @@ def test_long_cycle_needs_no_recursion():
     cls = classify_realizability(Q)
     assert cls.kind == "annulus" and len(cls.cut_trace) == 1098
     assert quiddity_of(cls.witness).A == Q.A
+
+
+def test_ten_thousand_cuts_classify():
+    # ears at random places and ears all at the tail, where every cut's
+    # right flank is position 1 and a multiset holds about n entries
+    for at_tail in (False, True):
+        Q = _three_ear_cycle(10_000, at_tail)
+        cls = classify_realizability(Q)
+        assert cls.kind == "annulus" and len(cls.cut_trace) == 9_998
+        assert quiddity_of(cls.witness).A == Q.A
