@@ -18,7 +18,8 @@ from .realize import (Classification, classify_realizability,
                       skeletal_realize, quotient_realize,
                       witness_nonuniqueness_probe, all_pchoices,
                       valid_pchoices)
-from .matchings import (Matching, enumerate_matchings, weigh_matching,
+from .matchings import (Matching, enumerate_matchings,
+                        nonzero_traditional_matchings, weigh_matching,
                         matching_sum, growth_via_annulus_weight,
                         inner_outer_consistency, BudgetExceeded,
                         DEFAULT_BUDGET)

@@ -21,7 +21,7 @@ from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (enumerate_matchings, weigh_matching, matching_sum,
                         growth_via_annulus_weight, inner_outer_consistency,
                         DEFAULT_BUDGET)
-from .tpaths import weighted_tpaths, phi_bijection
+from .tpaths import PolygonGeometry, weighted_tpaths, phi_bijection
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -190,11 +190,12 @@ def _cmd_matchings(args, out):
 
 def _cmd_tpaths(args, out):
     D = _load_dissection(args.input)
+    geo = PolygonGeometry(D)
     ctx = quiddity_of(D).context
     i, j = args.from_, args.to
     total = ctx.zero()
     count = 0
-    for path, wt in weighted_tpaths(D, i, j, args.kind, ctx):
+    for path, wt in weighted_tpaths(D, i, j, args.kind, ctx, geo):
         total = total + wt
         count += 1
         route = " ".join("%d->%d" % st for st in path.steps)
@@ -202,7 +203,7 @@ def _cmd_tpaths(args, out):
     out.write("paths: %d\n" % count)
     out.write("sum: %s\n" % format_elem(total))
     if args.check_phi:
-        mapping = phi_bijection(D, i, j)
+        mapping = phi_bijection(D, i, j, ctx, geo)
         out.write("phi bijection verified on %d matchings\n" % len(mapping))
     return EXIT_OK
 

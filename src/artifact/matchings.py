@@ -11,6 +11,8 @@ coefficients.
 ``matching_sum`` adds the weights up without listing the matchings (a
 transfer-matrix pass over the window positions); ``enumerate_matchings``
 with ``weigh_matching`` is the brute force it is tested against.
+``nonzero_traditional_matchings`` lists only the matchings of nonzero
+traditional weight, pruning the others as it walks.
 """
 
 from collections import defaultdict
@@ -61,16 +63,64 @@ def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
         yield Matching(i, j, combo)
 
 
+def nonzero_traditional_matchings(D, i, j, budget=DEFAULT_BUDGET):
+    """The matchings of ``enumerate_matchings(D, i, j)`` whose traditional
+    weight is nonzero, in the same order.  That weight is zero once a
+    p-gon has more than p - 2 corners, and otherwise a product of
+    U_k(lambda_p) > 0 with k <= p - 2.  A depth-first walk on an explicit
+    stack keeps the corner count of every lifted face and drops a prefix
+    as soon as one p-gon has p - 1 corners in it.  ``budget`` still caps
+    the number of all matchings in the window."""
+    if D.is_quotient():
+        raise ValueError("traditional weights are defined only for "
+                         "ordinary dissections")
+    if j < i:
+        raise ValueError("need j >= i")
+    if j == i:
+        return
+    lists = _choice_lists(D, i, j)
+    if prod(len(c) for c in lists) > budget:
+        raise BudgetExceeded("more than %d matchings" % budget)
+    if not lists:
+        yield Matching(i, j, ())
+        return
+    cap = {f.id: f.size - 2 for f in D.base_faces}
+    counts = defaultdict(int)   # lifted face -> corners chosen so far
+    chosen = []
+    stack = [iter(lists[0])]    # the corners left to try at each position
+    while stack:
+        for corner in stack[-1]:
+            if counts[corner[0]] < cap[corner[1]]:
+                break
+        else:
+            stack.pop()
+            if chosen:
+                counts[chosen.pop()[0]] -= 1
+            continue
+        counts[corner[0]] += 1
+        chosen.append(corner)
+        if len(chosen) < len(lists):
+            stack.append(iter(lists[len(chosen)]))
+        else:
+            yield Matching(i, j, tuple(chosen))
+            counts[chosen.pop()[0]] -= 1
+
+
 def _context_of(D):
     return quiddity_of(D.base, "outer").context
 
 
-def weigh_matching(w, mode, D, ctx=None):
+def weigh_matching(w, mode, D, ctx=None, u=None):
     """Weight of one matching: local (run rule, class equality),
     traditional (per lifted face), or annulus (per base face,
-    full-period matchings only)."""
+    full-period matchings only).  ``u(k, p)``, if given, returns
+    U_k(lambda_p) in ctx, so that callers weighing many matchings can
+    share one memo of these values."""
     if ctx is None:
         ctx = _context_of(D)
+    if u is None:
+        def u(k, p):
+            return chebyshev_u(ctx, k, ctx.lam(p))
     base = D.base
     if mode == "local":
         total = ctx.one()
@@ -79,7 +129,7 @@ def weigh_matching(w, mode, D, ctx=None):
             k += 1
             nxt = w.choice[idx + 1][0] if idx + 1 < len(w.choice) else None
             if nxt != key:
-                total = total * chebyshev_u(ctx, k, ctx.lam(base.face(fid).size))
+                total = total * u(k, base.face(fid).size)
                 k = 0
         return total
     if D.is_quotient():
@@ -98,7 +148,7 @@ def weigh_matching(w, mode, D, ctx=None):
         p = base.face(fid).size
         if k > p - 2:
             return ctx.zero()
-        total = total * chebyshev_u(ctx, k, ctx.lam(p))
+        total = total * u(k, p)
     return total
 
 

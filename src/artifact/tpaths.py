@@ -10,11 +10,12 @@ the nonzero-traditional-weight matchings.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 from .ring import chebyshev_u
 from .surface import chords_cross, quiddity_of
-from .matchings import enumerate_matchings, weigh_matching
+from .matchings import nonzero_traditional_matchings, weigh_matching
 
 
 def _pt(a):
@@ -47,8 +48,10 @@ class TPath:
         return len(self.steps)
 
 
-class _PolygonGeometry:
-    """Per-dissection tables: subgon membership, chord weights, arcs."""
+class PolygonGeometry:
+    """Per-dissection tables: subgon membership, chord weights, arcs.  One
+    geometry serves every query of a run, and keeps the values
+    U_k(lambda_p) it has computed."""
 
     def __init__(self, D):
         if D.is_quotient() or D.surface.kind != "polygon":
@@ -69,24 +72,36 @@ class _PolygonGeometry:
                     key = frozenset((vs[ai], vs[bi]))
                     # edges shared by two subgons have weight 1 in either
                     self.chords.setdefault(key, fid)
+        self._u = {}             # (ctx, k, p) -> U_k(lambda_p)
 
-    def step_weight(self, ctx, u, w):
-        key = frozenset((u, w))
-        fid = self.chords.get(key)
+    def u(self, ctx, k, p):
+        """U_k(lambda_p) in ctx, computed once per geometry."""
+        val = self._u.get((ctx, k, p))
+        if val is None:
+            val = self._u[ctx, k, p] = chebyshev_u(ctx, k, ctx.lam(p))
+        return val
+
+    def _skip(self, u, w):
+        """(k, p) for the step u->w inside a p-gon, whose weight is
+        U_k(lambda_p)."""
+        fid = self.chords.get(frozenset((u, w)))
         if fid is None:
             raise ValueError("step (%d,%d) is not contained in one subgon"
                              % (u, w))
         vs = self.faces[fid]
         p = len(vs)
-        # skip count: subgon vertices strictly between u and w on one side
-        # (the two sides give equal Chebyshev weights)
+        # skip count: subgon vertices strictly between u and w on one side;
+        # the two sides give equal weights, U_k = U_{p-2-k} at lambda_p, so
+        # take the shorter one
         k = abs(vs.index(w) - vs.index(u)) - 1
-        return chebyshev_u(ctx, k, ctx.lam(p))
+        return min(k, p - 2 - k), p
 
     def path_weight(self, ctx, path):
         total = ctx.one()
         for u, w in path.steps[::2]:
-            total = total * self.step_weight(ctx, u, w)
+            k, p = self._skip(u, w)
+            if k:  # U_0 = 1
+                total = total * self.u(ctx, k, p)
         return total
 
     def crossed_arcs(self, i, j):
@@ -131,13 +146,14 @@ class _PolygonGeometry:
 
 def enumerate_tpaths(D, i, j, kind="weak"):
     """All T-paths from v_i to v_j (1-based vertex numbers, i != j)."""
-    yield from _tpaths(_PolygonGeometry(D), i, j, kind)
+    yield from _tpaths(PolygonGeometry(D), i, j, kind)
 
 
-def weighted_tpaths(D, i, j, kind="weak", ctx=None):
+def weighted_tpaths(D, i, j, kind="weak", ctx=None, geo=None):
     """(path, weight) for every T-path of ``enumerate_tpaths``, all on one
-    build of the dissection's tables."""
-    geo = _PolygonGeometry(D)
+    build of the dissection's tables (``geo``, built if not given)."""
+    if geo is None:
+        geo = PolygonGeometry(D)
     if ctx is None:
         ctx = quiddity_of(D).context
     for path in _tpaths(geo, i, j, kind):
@@ -159,25 +175,24 @@ def _tpaths(geo, i, j, kind):
 
     all_chords = sorted(geo.chords, key=lambda s: tuple(sorted(s)))
 
-    def rec(pos, steps, used, last_cross):
+    def extend(pos, trail, used, last_cross):
         # odd step next
         for key in all_chords:
             if pos not in key or key in used:
                 continue
             (w,) = key - {pos}
-            nsteps = steps + ((pos, w),)
+            odd = (trail, (pos, w))
             if w == j:
-                yield TPath(i, j, nsteps)
+                yield TPath(i, j, _steps(odd))
             # even step next: an arc crossing (v_i,v_j) further along
             for t, pair in crossed:
                 if (t <= last_cross or pair in used or pair == key
                         or w not in pair):
                     continue
                 (u2,) = pair - {w}
-                yield from rec(u2, nsteps + ((w, u2),),
-                               used | {key, pair}, t)
+                yield extend(u2, (odd, (w, u2)), used | {key, pair}, t)
 
-    yield from rec(i, (), frozenset(), Fraction(-1))
+    yield from _depth_first(extend(i, None, frozenset(), Fraction(-1)))
 
 
 def _complete_tpaths(geo, i, j, crossed):
@@ -185,10 +200,10 @@ def _complete_tpaths(geo, i, j, crossed):
     odd steps chaining them inside single subgons (conditions 1-2 + 3')."""
     d = len(crossed)
 
-    def rec(pos, idx, steps):
+    def extend(pos, idx, trail):
         if idx == d:
             if pos != j and frozenset((pos, j)) in geo.chords:
-                yield TPath(i, j, steps + ((pos, j),))
+                yield TPath(i, j, _steps((trail, (pos, j))))
             return
         _t, pair = crossed[idx]
         for u in sorted(pair):
@@ -197,9 +212,36 @@ def _complete_tpaths(geo, i, j, crossed):
                 continue  # the odd step must move
             if frozenset((pos, u)) not in geo.chords:
                 continue
-            yield from rec(w, idx + 1, steps + ((pos, u), (u, w)))
+            yield extend(w, idx + 1, ((trail, (pos, u)), (u, w)))
 
-    yield from rec(i, 0, ())
+    yield from _depth_first(extend(i, 0, None))
+
+
+def _depth_first(root):
+    """The T-paths of a walk, depth first on an explicit stack, so that a
+    path may cross any number of arcs.  A node of the walk is a generator
+    yielding, in order, the paths it finishes and the nodes that extend
+    it."""
+    stack = [root]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, TPath):
+                yield item
+            else:
+                stack.append(item)
+                break
+        else:
+            stack.pop()
+
+
+def _steps(trail):
+    """The steps of a trail: nested pairs (earlier trail, last step),
+    shared between the paths that extend it."""
+    steps = []
+    while trail is not None:
+        trail, step = trail
+        steps.append(step)
+    return tuple(reversed(steps))
 
 
 def tpath_weight(D, path, ctx=None):
@@ -207,7 +249,7 @@ def tpath_weight(D, path, ctx=None):
     arcs of the dissection (weight one), so no ring division happens."""
     if ctx is None:
         ctx = quiddity_of(D).context
-    return _PolygonGeometry(D).path_weight(ctx, path)
+    return PolygonGeometry(D).path_weight(ctx, path)
 
 
 def tpath_sum(D, i, j, kind="weak", ctx=None):
@@ -217,10 +259,9 @@ def tpath_sum(D, i, j, kind="weak", ctx=None):
                ctx.zero())
 
 
-def _left_counts(geo, i, j, path):
+def _left_counts(geo, subgons, path):
     """Vertices of the ell-th crossed subgon strictly on the clockwise
     side of the ell-th odd step."""
-    subgons = geo.crossed_subgons(i, j)
     out = []
     for ell, fid in enumerate(subgons):
         u, w = path.steps[2 * ell]
@@ -231,16 +272,19 @@ def _left_counts(geo, i, j, path):
     return tuple(out)
 
 
-def phi_bijection(D, i, j):
+def phi_bijection(D, i, j, ctx=None, geo=None):
     """The weight-preserving bijection from nonzero-traditional-weight
     matchings between v_i and v_j to complete T-paths: the number of
     vertices of each crossed subgon left of the corresponding odd step
     equals its occurrence count in the matching.  Returns the mapping
     {Matching: TPath}; raises if it fails to be a weight-preserving
-    bijection."""
-    geo = _PolygonGeometry(D)
-    Q = quiddity_of(D)
-    ctx = Q.context
+    bijection.  Only the matchings of nonzero weight are walked, and
+    each is weighed again and must not be zero.  ``geo`` is the
+    dissection's ``PolygonGeometry``, built if not given."""
+    if geo is None:
+        geo = PolygonGeometry(D)
+    if ctx is None:
+        ctx = quiddity_of(D).context
     # left-counts depend on the traversal direction; use the
     # counterclockwise one
     i, j = min(i, j), max(i, j)
@@ -248,7 +292,7 @@ def phi_bijection(D, i, j):
 
     paths = {}
     for path in _tpaths(geo, i, j, "complete"):
-        key = _left_counts(geo, i, j, path)
+        key = _left_counts(geo, subgons, path)
         if key in paths:
             raise AssertionError("two complete T-paths share a left-count "
                                  "vector")
@@ -256,10 +300,12 @@ def phi_bijection(D, i, j):
 
     mapping = {}
     used = set()
-    for w in enumerate_matchings(D, i, j):
-        wt = weigh_matching(w, "traditional", D, ctx)
+    u = partial(geo.u, ctx)
+    for w in nonzero_traditional_matchings(D, i, j):
+        wt = weigh_matching(w, "traditional", D, ctx, u)
         if wt.is_zero():
-            continue
+            raise AssertionError("the pruned walk kept a matching of zero "
+                                 "weight")
         counts = {}
         for _key, fid, _t in w.choice:
             counts[fid] = counts.get(fid, 0) + 1

@@ -1,13 +1,16 @@
-"""Re-record the expected exit code, stdout and stderr of every golden CLI
-case.
+"""Record the expected exit code, stdout and stderr of golden CLI cases.
 
-Usage: ``PYTHONPATH=src python tests/golden/record.py`` from the repository
-root.  The case list (name and argv) is read from ``cases.json`` and written
-back with the output of the current code, so run it only at a commit whose
-output is trusted; ``tests/test_golden.py`` replays the recorded cases.
-Input paths in argv are relative to this directory.
+Usage: ``PYTHONPATH=src python tests/golden/record.py [--all]`` from the
+repository root.  The case list (name and argv) is read from ``cases.json``
+and written back with the output of the current code.  Only cases with no
+recorded ``exit`` are filled in, so a new case can be added as a name and
+argv and recorded without touching the others; ``--all`` re-records every
+case.  Run it only at a commit whose output is trusted;
+``tests/test_golden.py`` replays the recorded cases.  Input paths in argv
+are relative to this directory.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -29,11 +32,17 @@ def run_case(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--all", action="store_true",
+                    help="re-record every case, not only unrecorded ones")
+    args = ap.parse_args(argv)
     with open(CASES) as fh:
         cases = json.load(fh)
     for case in cases:
-        case["exit"], case["stdout"], case["stderr"] = run_case(case["argv"])
+        if args.all or "exit" not in case:
+            case["exit"], case["stdout"], case["stderr"] = run_case(
+                case["argv"])
     with open(CASES, "w") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")
