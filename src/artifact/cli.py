@@ -193,6 +193,8 @@ def _cmd_tpaths(args, out):
     geo = PolygonGeometry(D)
     ctx = quiddity_of(D).context
     i, j = args.from_, args.to
+    # the bijection is checked first, so a refusal prints no paths
+    mapping = phi_bijection(D, i, j, ctx, geo) if args.check_phi else None
     total = ctx.zero()
     count = 0
     for path, wt in weighted_tpaths(D, i, j, args.kind, ctx, geo):
@@ -202,8 +204,7 @@ def _cmd_tpaths(args, out):
         out.write("%-40s %s\n" % (route, format_elem(wt)))
     out.write("paths: %d\n" % count)
     out.write("sum: %s\n" % format_elem(total))
-    if args.check_phi:
-        mapping = phi_bijection(D, i, j, ctx, geo)
+    if mapping is not None:
         out.write("phi bijection verified on %d matchings\n" % len(mapping))
     return EXIT_OK
 

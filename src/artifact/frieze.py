@@ -158,14 +158,6 @@ class FriezeTable:
             else self._width
 
 
-@dataclass
-class ExtentReport:
-    kind: str                     # "finite" | "infinite"
-    width: Optional[int]          # set when finite
-    period: int
-    first_nonpositive: Optional[tuple]  # (i, j) or None
-
-
 def _first_nonpositive(F, depth):
     """The first (i, j), row by row over rows 1..depth, whose entry is not
     positive, or None."""
@@ -174,23 +166,6 @@ def _first_nonpositive(F, depth):
             if sign_of(F.entry(i, i + t + 1)) <= 0:
                 return (i, i + t + 1)
     return None
-
-
-def extent(F, probe_depth):
-    """Scan nontrivial rows up to probe_depth.
-
-    Reports finite width w when row w+1 is all ones and row w+2 all zeros;
-    otherwise "infinite" means only "no termination within probe_depth".
-    Also records the first nonpositive interior entry encountered.
-    """
-    if probe_depth < F.n + 2:
-        raise ValueError("probe_depth must be at least n + 2")
-    width = F.finite_width(probe_depth - 1)
-    interior_depth = width if width is not None else probe_depth
-    first_nonpositive = _first_nonpositive(F, interior_depth)
-    if width is not None:
-        return ExtentReport("finite", width, F.n, first_nonpositive)
-    return ExtentReport("infinite", None, F.n, first_nonpositive)
 
 
 def is_finite_within(F, depth):

@@ -74,28 +74,32 @@ def valid_pchoices(Q):
 # the geometric construction for a skeletal cycle with a fixed choice
 # ---------------------------------------------------------------------------
 
+def _layout(Q, pchoice):
+    """(disc, anchors, gaps, gap_p) of a gap-size assignment: whether it
+    gives a punctured disc (every anchor holds two sizes and every gap is
+    p - 2 long), the anchors (0-based positions whose multiset is not a
+    singleton), the boundary gap from each anchor to the next and the size
+    chosen at each gap."""
+    n = Q.n
+    anchors = [i for i in range(n) if len(Q.A[i]) > 1]
+    if not anchors:
+        raise ValueError("constant singleton cycles are polygon friezes; "
+                         "no disc or annulus construction applies")
+    gaps = [(b - a) % n or n
+            for a, b in zip(anchors, anchors[1:] + anchors[:1])]
+    gap_p = [pchoice[a] for a in anchors]
+    disc = (all(len(Q.A[a]) == 2 for a in anchors)
+            and all(p - 2 == g for p, g in zip(gap_p, gaps)))
+    return disc, anchors, gaps, gap_p
+
+
 def _construct(Q, pchoice):
     """Build the dissection realizing a skeletal cycle from a fixed gap-size
     assignment.  Returns ("disc", D) or ("annulus", D)."""
     n = Q.n
-    A = [list(a) for a in Q.A]
-    anchors = [i for i in range(n) if len(A[i]) > 1]
-    if not anchors:
-        raise ValueError("constant singleton cycles are polygon friezes; "
-                         "no disc or annulus construction applies")
+    disc, anchors, gaps, gap_p = _layout(Q, pchoice)
     l = len(anchors)
-    gaps = []
-    gap_p = []
-    for j in range(l):
-        a, b = anchors[j], anchors[(j + 1) % l]
-        gap = (b - a) % n
-        if gap == 0:
-            gap = n
-        gaps.append(gap)
-        gap_p.append(pchoice[a])
-
-    if (all(len(A[a]) == 2 for a in anchors)
-            and all(p - 2 == g for p, g in zip(gap_p, gaps))):
+    if disc:
         arcs = [Arc("bridge_disc", a + 1) for a in anchors]
         return "disc", build_dissection(punctured_disc(n), arcs)
 
@@ -107,7 +111,7 @@ def _construct(Q, pchoice):
         a = anchors[j]
         p_left = gap_p[(j - 1) % l]
         p_right = gap_p[j]
-        R = list(A[a])
+        R = list(Q.A[a])
         try:
             R.remove(p_left)
             R.remove(p_right)
@@ -169,14 +173,13 @@ def skeletal_realize(Q):
         raise ValueError("cycle is not skeletal")
     first = None
     for pchoice in valid_pchoices(Q):
-        kind, D = _construct(Q, pchoice)
-        if kind == "disc":
-            return kind, D
+        if _layout(Q, pchoice)[0]:
+            return _construct(Q, pchoice)
         if first is None:
-            first = (kind, D)
-    if first is not None:
-        return first
-    return "no_valid_choice", None
+            first = pchoice
+    if first is None:
+        return "no_valid_choice", None
+    return _construct(Q, first)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +189,9 @@ def skeletal_realize(Q):
 def quotient_realize(Q):
     """Quotient-dissection witness for a skeletal cycle that passes the test
     but admits no clash-free gap-size assignment."""
-    best = None
-    for pchoice in all_pchoices(Q):
-        bad = _violations(Q, pchoice)
-        if best is None or len(bad) < len(best[1]):
-            best = (pchoice, bad)
+    # the first choice with the fewest clashes
+    best = min(((c, _violations(Q, c)) for c in all_pchoices(Q)),
+               key=lambda cb: len(cb[1]), default=None)
     if best is None:
         raise ValueError("cycle fails the realizability test")
     pchoice, bad = best
@@ -198,50 +199,39 @@ def quotient_realize(Q):
         raise ValueError("cycle admits an ordinary realization; "
                          "no quotient needed")
 
-    n = Q.n
+    # each clashing entry is widened by one extra copy of its gap size;
+    # the two variants differ in whether the flanking subgons are glued
+    # with the full shared-vertex closure or only at the clashing vertex
+    A_hat = [list(a) for a in Q.A]
+    for j in bad:
+        A_hat[j] = sorted(A_hat[j] + [pchoice[j]])
+    Q_hat = QuiddityCycle([tuple(a) for a in A_hat], Q.context)
+    try:
+        # a widened entry holds three sizes or more: never a disc
+        D = _construct(Q_hat, pchoice)[1]
+    except ValueError as exc:
+        raise AssertionError("quotient construction failed: %s" % exc)
     last_err = None
-    # the variants differ in which entries are widened by one extra copy of
-    # the gap size and in whether the flanking subgons are glued with the
-    # full shared-vertex closure or only at the clashing vertex itself
-    variants = [("bad", "closure"), ("bad", "at_vertex"),
-                ("all", "closure"), ("all", "at_vertex")]
-    for widen, glue_mode in variants:
-        A_hat = [list(a) for a in Q.A]
-        p_common = pchoice[bad[0]]
-        if widen == "all":
-            glue_at = range(n)
-            for i in range(n):
-                A_hat[i] = sorted(A_hat[i] + [p_common])
-        else:
-            glue_at = bad
-            for j in bad:
-                A_hat[j] = sorted(A_hat[j] + [pchoice[j]])
-        Q_hat = QuiddityCycle([tuple(a) for a in A_hat], Q.context)
+    for glue_mode in ("closure", "at_vertex"):
+        pairs = []
+        for j in bad:
+            corners = D.corner_choices(j, "outer")
+            (_k1, fa, ta) = corners[0]
+            (_k2, fb, tb) = corners[-1]
+            if D.face(fa).size != D.face(fb).size:
+                continue
+            if fa == fb:
+                # the flanking corners are two lifts of one subgon,
+                # glued to its own translate
+                if glue_mode != "at_vertex" or ta == tb:
+                    continue
+                pair = (fa, fb, tb - ta)
+            else:
+                pair = (fa, fb, tb - ta) if glue_mode == "at_vertex" \
+                    else (min(fa, fb), max(fa, fb))
+            if pair not in pairs:
+                pairs.append(pair)
         try:
-            kind, D = _construct(Q_hat, pchoice)
-            if kind != "annulus":
-                raise ValueError("widened cycle realized by a disc; "
-                                 "the quotient construction expects an annulus")
-            pairs = []
-            for j in glue_at:
-                corners = D.corner_choices(j, "outer")
-                (_k1, fa, ta) = corners[0]
-                (_k2, fb, tb) = corners[-1]
-                if D.face(fa).size != D.face(fb).size:
-                    continue
-                if widen == "all" and D.face(fa).size != p_common:
-                    continue
-                if fa == fb:
-                    # the flanking corners are two lifts of one subgon,
-                    # glued to its own translate
-                    if glue_mode != "at_vertex" or ta == tb:
-                        continue
-                    pair = (fa, fb, tb - ta)
-                else:
-                    pair = (fa, fb, tb - ta) if glue_mode == "at_vertex" \
-                        else (min(fa, fb), max(fa, fb))
-                if pair not in pairs:
-                    pairs.append(pair)
             if not pairs:
                 raise ValueError("no identifiable subgon pair")
             QD = make_quotient(D, pairs)

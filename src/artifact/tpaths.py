@@ -1,41 +1,26 @@
 """Weak and complete T-paths on dissected polygons.
 
-Vertices are placed at (a, a^2) so every polygon is convex and all
-crossing tests are exact rational arithmetic.  A step is an oriented
-chord lying inside a single subgon; even steps travel along arcs of the
-dissection that cross the reference diagonal (v_i, v_j), at strictly
-increasing crossing positions.  Summing step-weight products over weak
-T-paths recovers the frieze entry m_{i,j}; complete T-paths biject with
-the nonzero-traditional-weight matchings.
+Vertices v_1..v_n are numbered in the polygon's cyclic order, and every
+crossing test reads that order alone.  A step is an oriented chord lying
+inside a single subgon; even steps travel along arcs of the dissection
+that cross the reference diagonal (v_i, v_j), in the order they cross it.
+Summing step-weight products over weak T-paths recovers the frieze entry
+m_{i,j}; complete T-paths biject with the nonzero-traditional-weight
+matchings.
 """
 
 from dataclasses import dataclass
 from functools import partial
-from fractions import Fraction
 
 from .ring import chebyshev_u
-from .surface import chords_cross, quiddity_of
+from .surface import quiddity_of
 from .matchings import nonzero_traditional_matchings, weigh_matching
 
 
-def _pt(a):
-    return (a, a * a)
-
-
-def _orient(p, q, r):
-    """Sign of the turn p->q->r (positive = counterclockwise)."""
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (v > 0) - (v < 0)
-
-
-def _cross_param(i, j, a, b):
-    """Position along the segment from v_i to v_j where chord (a,b)
-    crosses it, as an exact fraction of the segment."""
-    (x1, y1), (x2, y2) = _pt(i), _pt(j)
-    (x3, y3), (x4, y4) = _pt(a), _pt(b)
-    den = (x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)
-    num = (x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3)
-    return Fraction(num, den)
+def _between(x, u, w, n):
+    """Is v_x strictly inside the run of the boundary from v_u forward to
+    v_w?"""
+    return 0 < (x - u) % n < (w - u) % n
 
 
 @dataclass(frozen=True)
@@ -56,14 +41,14 @@ class PolygonGeometry:
     def __init__(self, D):
         if D.is_quotient() or D.surface.kind != "polygon":
             raise ValueError("T-paths are defined on dissected polygons")
-        self.D = D
         self.n = D.surface.n
         self.faces = {}          # fid -> sorted vertex numbers
+        self.faces_at = {}       # vertex -> fids of the subgons holding it
         for f in D.base_faces:
             self.faces[f.id] = sorted(x + 1 for x in f.bottom_coords())
-        self.arc_pairs = []
-        for arc in D.arcs:
-            self.arc_pairs.append(frozenset((arc.a, arc.b)))
+            for x in self.faces[f.id]:
+                self.faces_at.setdefault(x, set()).add(f.id)
+        self.arc_pairs = [frozenset((arc.a, arc.b)) for arc in D.arcs]
         # chords inside one subgon: {u,w} -> (fid carrying the weight)
         self.chords = {}
         for fid, vs in self.faces.items():
@@ -105,42 +90,34 @@ class PolygonGeometry:
         return total
 
     def crossed_arcs(self, i, j):
-        """Arcs of the dissection crossing (v_i,v_j), ordered from v_i."""
-        out = []
+        """Arcs of the dissection crossing (v_i,v_j), ordered from v_i.  An
+        arc crosses when one end a is strictly inside the run i -> j and
+        the other end b strictly inside j -> i.  Arcs crossing one diagonal
+        nest, so the one met first has the earliest a and, among arcs
+        sharing that a, the latest b."""
+        n = self.n
+        crossed = {}
         for pair in self.arc_pairs:
-            a, b = sorted(pair)
-            if chords_cross(i, j, a, b):
-                out.append((_cross_param(i, j, a, b), pair))
-        out.sort()
-        return out
+            a, b = pair
+            if _between(b, i, j, n):
+                a, b = b, a
+            if _between(a, i, j, n) and _between(b, j, i, n):
+                crossed[pair] = ((a - i) % n, -((b - j) % n))
+        return sorted(crossed, key=crossed.get)
 
     def crossed_subgons(self, i, j):
-        """Subgons met by the diagonal (v_i, v_j), in order: the one at
-        v_i, then one per crossed arc."""
-        arcs = self.crossed_arcs(i, j)
+        """Subgons met by the diagonal (v_i, v_j), in order: for each pair
+        of neighbouring walls [{i}, arc_1, ..., arc_d, {j}], the subgon
+        holding both.  When (v_i, v_j) is itself an arc, two subgons hold
+        it and the lower face id is taken."""
+        walls = [{i}, *self.crossed_arcs(i, j), {j}]
         order = []
-        # subgon adjacency across arcs
-        arc_faces = {}
-        for fid, vs in self.faces.items():
-            vset = set(vs)
-            for pair in self.arc_pairs:
-                if pair <= vset:
-                    arc_faces.setdefault(pair, []).append(fid)
-        cur = None
-        for fid, vs in self.faces.items():
-            if i in vs and (not arcs or set(arcs[0][1]) <= set(vs)):
-                if not arcs and j not in vs:
-                    continue
-                cur = fid
-                break
-        if cur is None:
-            raise AssertionError("could not locate the first crossed subgon")
-        order.append(cur)
-        for t, pair in arcs:
-            nxts = [f for f in arc_faces[pair] if f != order[-1]]
-            if len(nxts) != 1:
-                raise AssertionError("arc does not separate two subgons")
-            order.append(nxts[0])
+        for w1, w2 in zip(walls, walls[1:]):
+            fids = set.intersection(*(self.faces_at[x] for x in w1 | w2))
+            if not fids:
+                raise AssertionError("no subgon holds two neighbouring "
+                                     "walls of the diagonal")
+            order.append(min(fids))
         return order
 
 
@@ -161,6 +138,8 @@ def weighted_tpaths(D, i, j, kind="weak", ctx=None, geo=None):
 
 
 def _tpaths(geo, i, j, kind):
+    """The walk of the T-paths from v_i to v_j; the endpoints and kind are
+    checked before it is returned."""
     if i == j:
         raise ValueError("endpoints must be distinct")
     n = geo.n
@@ -168,8 +147,7 @@ def _tpaths(geo, i, j, kind):
         raise ValueError("vertex out of range")
     crossed = geo.crossed_arcs(i, j)
     if kind == "complete":
-        yield from _complete_tpaths(geo, i, j, crossed)
-        return
+        return _complete_tpaths(geo, i, j, crossed)
     if kind != "weak":
         raise ValueError("kind must be weak or complete")
 
@@ -185,14 +163,14 @@ def _tpaths(geo, i, j, kind):
             if w == j:
                 yield TPath(i, j, _steps(odd))
             # even step next: an arc crossing (v_i,v_j) further along
-            for t, pair in crossed:
+            for t, pair in enumerate(crossed):
                 if (t <= last_cross or pair in used or pair == key
                         or w not in pair):
                     continue
                 (u2,) = pair - {w}
                 yield extend(u2, (odd, (w, u2)), used | {key, pair}, t)
 
-    yield from _depth_first(extend(i, None, frozenset(), Fraction(-1)))
+    return _depth_first(extend(i, None, frozenset(), -1))
 
 
 def _complete_tpaths(geo, i, j, crossed):
@@ -205,12 +183,11 @@ def _complete_tpaths(geo, i, j, crossed):
             if pos != j and frozenset((pos, j)) in geo.chords:
                 yield TPath(i, j, _steps((trail, (pos, j))))
             return
-        _t, pair = crossed[idx]
+        pair = crossed[idx]
         for u in sorted(pair):
             w = next(iter(pair - {u}))
-            if pos == u:
-                continue  # the odd step must move
-            if frozenset((pos, u)) not in geo.chords:
+            # the odd step must move, inside one subgon
+            if pos == u or frozenset((pos, u)) not in geo.chords:
                 continue
             yield extend(w, idx + 1, ((trail, (pos, u)), (u, w)))
 
@@ -261,15 +238,9 @@ def tpath_sum(D, i, j, kind="weak", ctx=None):
 
 def _left_counts(geo, subgons, path):
     """Vertices of the ell-th crossed subgon strictly on the clockwise
-    side of the ell-th odd step."""
-    out = []
-    for ell, fid in enumerate(subgons):
-        u, w = path.steps[2 * ell]
-        pu, pw = _pt(u), _pt(w)
-        c = sum(1 for x in geo.faces[fid]
-                if x not in (u, w) and _orient(pu, pw, _pt(x)) < 0)
-        out.append(c)
-    return tuple(out)
+    side of the ell-th odd step u->w: those inside the run u -> w."""
+    return tuple(sum(_between(x, u, w, geo.n) for x in geo.faces[fid])
+                 for fid, (u, w) in zip(subgons, path.steps[::2]))
 
 
 def phi_bijection(D, i, j, ctx=None, geo=None):
@@ -288,10 +259,11 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
     # left-counts depend on the traversal direction; use the
     # counterclockwise one
     i, j = min(i, j), max(i, j)
+    complete = _tpaths(geo, i, j, "complete")
     subgons = geo.crossed_subgons(i, j)
 
     paths = {}
-    for path in _tpaths(geo, i, j, "complete"):
+    for path in complete:
         key = _left_counts(geo, subgons, path)
         if key in paths:
             raise AssertionError("two complete T-paths share a left-count "

@@ -4,7 +4,7 @@ import pytest
 
 from artifact import (FriezeTable, quiddity_new, format_quiddity,
                       growth_coefficient, check_positivity, cut, glue,
-                      extent, realizability_test, is_skeletal_quiddity,
+                      realizability_test, is_skeletal_quiddity,
                       quiddity_of)
 from artifact.frieze import is_finite_within, singleton_runs
 
@@ -26,9 +26,8 @@ def test_octagon_triangulation_width_5_table():
     assert cyc_eq(F.row(4), ints(c, 3, 1, 4, 4, 2, 2, 2, 5))
     # the last nontrivial row is the quiddity row again, shifted
     assert cyc_eq(F.row(5), ints(c, 2, 2, 1, 5, 1, 3, 1, 3))
-    rep = extent(F, 12)
-    assert rep.kind == "finite" and rep.width == 5
-    assert rep.first_nonpositive is None
+    assert F.finite_width(11) == 5
+    assert check_positivity(F, 12).kind == "provably_positive"
 
 
 def test_triangulated_annulus_infinite_table():
@@ -57,7 +56,7 @@ def test_dissected_hexagon_width_3_table(hexagon_13_35):
                   [e(0, 1), e(1, 1), e(1, 1), e(0, 1), e(1, 1), e(1, 1)])
     assert cyc_eq(F.row(3),
                   [e(0, 1), e(1, 1), e(1, 0), e(2, 1), e(1, 0), e(1, 1)])
-    assert extent(F, 10).width == 3
+    assert F.finite_width(9) == 3
 
 
 def test_4angulated_octagon_width_5_table():
@@ -77,7 +76,7 @@ def test_4angulated_octagon_width_5_table():
     assert cyc_eq(F.row(3), r_mid)        # contains 5*sqrt(2)
     assert cyc_eq(F.row(4), r_even)       # contains 7
     assert cyc_eq(F.row(5), r_odd)
-    assert extent(F, 12).width == 5
+    assert F.finite_width(11) == 5
 
 
 def test_annulus_334_table_and_growth(annulus_334):

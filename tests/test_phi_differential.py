@@ -64,7 +64,10 @@ def assert_same_walk(D, i, j):
 def golden_tpaths_inputs():
     with open(CASES) as fh:
         cases = json.load(fh)
-    return sorted({c["argv"][1] for c in cases if c["argv"][0] == "tpaths"})
+    # an input the budget refuses (the 30-gon fan) has too few windows
+    # small enough for the oracle
+    return sorted({c["argv"][1] for c in cases if c["argv"][0] == "tpaths"
+                   and "matchings" not in c["stderr"]})
 
 
 @pytest.mark.parametrize("name", golden_tpaths_inputs())

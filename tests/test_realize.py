@@ -1,6 +1,9 @@
 """Realizability classification: the 2-periodic verdict table, cut traces,
 skeletal and quotient constructions, and witness round-trips."""
 
+from collections import Counter
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from artifact import (FriezeTable, classify_realizability, format_dissection,
@@ -194,3 +197,18 @@ def test_ten_thousand_cuts_classify():
         cls = classify_realizability(Q)
         assert cls.kind == "annulus" and len(cls.cut_trace) == 9_998
         assert quiddity_of(cls.witness).A == Q.A
+
+
+def test_every_short_cycle_classifies():
+    # every cycle of length 1-3 over the 19 multisets of 1-3 sizes from
+    # {3, 4, 5}: each gets a verdict, and every realizable one a witness
+    # that passes classification's post-condition, with no internal error
+    sets = [ms for k in (1, 2, 3)
+            for ms in combinations_with_replacement((3, 4, 5), k)]
+    kinds = Counter()
+    for n in (1, 2, 3):
+        for A in product(sets, repeat=n):
+            kinds[classify_realizability(quiddity_new(A)).kind] += 1
+    assert sum(kinds.values()) == 19 + 19 ** 2 + 19 ** 3
+    assert set(kinds) == {"polygon", "punctured_disc", "annulus",
+                          "quotient_annulus", "unrealizable"}, kinds

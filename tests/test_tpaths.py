@@ -12,6 +12,8 @@ from artifact import (FriezeTable, annulus, build_dissection, enumerate_tpaths,
                       parse_dissection_text)
 from artifact.tpaths import PolygonGeometry, TPath
 
+import tpath_geometry_oracle
+
 
 def all_pairs(n):
     for i in range(1, n + 1):
@@ -104,9 +106,10 @@ def fan_text(n):
 
 def recursive_tpaths(D, i, j, kind):
     """The recursive walks that ``enumerate_tpaths`` replaced, one frame
-    per crossed arc: the oracle for its order."""
+    per crossed arc, on the coordinate geometry's crossing order: the
+    oracle for its order."""
     geo = PolygonGeometry(D)
-    crossed = geo.crossed_arcs(i, j)
+    crossed = tpath_geometry_oracle.crossed_arcs(geo, i, j)
     if kind == "complete":
         d = len(crossed)
 
