@@ -168,26 +168,24 @@ def _first_nonpositive(F, depth):
     return None
 
 
-def is_finite_within(F, depth):
-    """True if an all-ones row followed by an all-zeros row occurs by depth."""
-    return F.finite_width(depth) is not None
-
-
 def growth_coefficient(F, k):
-    """Growth coefficient s_k = m_{0,kn+1} - m_{1,kn} of an infinite frieze.
+    """Growth coefficient s_k = tr M^k = m_{0,kn+1} - m_{1,kn} of an
+    infinite frieze, by s_0 = 2 and s_{k+1} = s_1 s_k - s_{k-1}.
 
-    Asserts the difference is the same for i = 0..n-1 before returning.
+    With |s_1| > 2 no row is scanned; with |s_1| <= 2 a finite width
+    within kn + 2 rows raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = F.n
-    if is_finite_within(F, k * n + 2):
+    # s_1 = tr M by two diagonal climbs; |s_1| > 2: no power of M, nor of
+    # the minimal-period matrix that M is a power of, is -I: infinite
+    s1, two = F.entry(0, F.n + 1) - F.entry(1, F.n), F.context.from_int(2)
+    if sign_of(s1 - two) <= 0 <= sign_of(s1 + two) and \
+       F.finite_width(k * F.n + 2) is not None:
         raise ValueError("growth coefficient undefined for finite friezes")
-    s = F.entry(0, k * n + 1) - F.entry(1, k * n)
-    for i in range(1, n):
-        si = F.entry(i, i + k * n + 1) - F.entry(i + 1, i + k * n)
-        if si != s:
-            raise AssertionError("growth coefficient not constant across i")
+    s_prev, s = two, s1
+    for _ in range(k - 1):
+        s_prev, s = s, s1 * s - s_prev
     return s
 
 
@@ -204,20 +202,24 @@ def check_positivity(F, depth):
     provably_positive when every quiddity entry is >= 2, or when the first n
     nontrivial rows are positive and s_1 >= 2 (Progression-Formula
     criterion); nonpositive_found when a scan to `depth` hits a violation;
-    otherwise inconclusive.
+    otherwise inconclusive.  With s_1 > 2 and depth >= n only rows 1..n are
+    scanned.  Otherwise the finite width is sought within depth rows (at
+    least n + 2 when depth >= n), then rows 1..depth or the interior rows
+    of a finite frieze are scanned.
     """
-    n = F.n
-    width = F.finite_width(depth)
+    n, two = F.n, F.context.from_int(2)
+    s1_vs_2 = sign_of(F.entry(0, n + 1) - F.entry(1, n) - two)
+    if depth >= n and s1_vs_2 > 0:
+        width, depth = None, n
+    else:
+        width = F.finite_width(depth if depth < n else max(depth, n + 2))
     finite = width is not None
     # a finite frieze is scanned over its interior rows only
     scan_depth = width if finite else depth
     violation = _first_nonpositive(F, scan_depth)
-    two = F.context.from_int(2)
     crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
-    crit_b = False
-    if not finite and scan_depth >= n and violation is None:
-        s1 = growth_coefficient(F, 1)
-        crit_b = sign_of(s1 - two) >= 0
+    crit_b = (not finite and scan_depth >= n and violation is None
+              and s1_vs_2 >= 0)
     if violation is not None:
         if crit_a:
             raise AssertionError("positivity criterion contradicted by scan")

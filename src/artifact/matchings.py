@@ -70,17 +70,23 @@ def nonzero_traditional_matchings(D, i, j, budget=DEFAULT_BUDGET):
     U_k(lambda_p) > 0 with k <= p - 2.  A depth-first walk on an explicit
     stack keeps the corner count of every lifted face and drops a prefix
     as soon as one p-gon has p - 1 corners in it.  ``budget`` still caps
-    the number of all matchings in the window."""
+    the number of all matchings in the window; it and the other checks
+    raise at the call, before any matching is asked for."""
     if D.is_quotient():
         raise ValueError("traditional weights are defined only for "
                          "ordinary dissections")
     if j < i:
         raise ValueError("need j >= i")
+    lists = _choice_lists(D, i, j)
+    if j > i and prod(len(c) for c in lists) > budget:
+        raise BudgetExceeded("more than %d matchings" % budget)
+    return _nonzero_walk(D, i, j, lists)
+
+
+def _nonzero_walk(D, i, j, lists):
+    """The pruned walk of ``nonzero_traditional_matchings``."""
     if j == i:
         return
-    lists = _choice_lists(D, i, j)
-    if prod(len(c) for c in lists) > budget:
-        raise BudgetExceeded("more than %d matchings" % budget)
     if not lists:
         yield Matching(i, j, ())
         return

@@ -260,6 +260,8 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
     # counterclockwise one
     i, j = min(i, j), max(i, j)
     complete = _tpaths(geo, i, j, "complete")
+    # endpoints first, then the matching budget, before any T-path is walked
+    matchings = nonzero_traditional_matchings(D, i, j)
     subgons = geo.crossed_subgons(i, j)
 
     paths = {}
@@ -273,7 +275,7 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
     mapping = {}
     used = set()
     u = partial(geo.u, ctx)
-    for w in nonzero_traditional_matchings(D, i, j):
+    for w in matchings:
         wt = weigh_matching(w, "traditional", D, ctx, u)
         if wt.is_zero():
             raise AssertionError("the pruned walk kept a matching of zero "

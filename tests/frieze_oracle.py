@@ -1,0 +1,60 @@
+"""The table-scan forms of ``frieze.growth_coefficient`` and
+``frieze.check_positivity``, kept as the oracles of the trace-based code.
+
+``growth_by_table`` scans for a finite width to kn + 2 rows and reads s_k
+off the frieze table for every i = 0..n-1, asserting it is constant.
+``positivity_by_table`` scans the finite width and the rows to ``depth``
+before it reads s_1; at n <= depth <= n + 1 it raises ``ValueError`` on a
+finite frieze whose width lies in [depth, n + 2), which the scan of
+``growth_by_table`` finds and the width scan to ``depth`` misses.
+"""
+
+from artifact.frieze import PositivityVerdict, _first_nonpositive
+from artifact.ring import sign_of
+
+
+def growth_by_table(F, k):
+    """Growth coefficient s_k = m_{0,kn+1} - m_{1,kn} of an infinite frieze.
+
+    Asserts the difference is the same for i = 0..n-1 before returning.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = F.n
+    if F.finite_width(k * n + 2) is not None:
+        raise ValueError("growth coefficient undefined for finite friezes")
+    s = F.entry(0, k * n + 1) - F.entry(1, k * n)
+    for i in range(1, n):
+        si = F.entry(i, i + k * n + 1) - F.entry(i + 1, i + k * n)
+        if si != s:
+            raise AssertionError("growth coefficient not constant across i")
+    return s
+
+
+def positivity_by_table(F, depth):
+    """Positivity verdict from a scan of the finite width and of rows
+    1..depth (1..width for a finite frieze), then s_1 >= 2."""
+    n = F.n
+    width = F.finite_width(depth)
+    finite = width is not None
+    scan_depth = width if finite else depth
+    violation = _first_nonpositive(F, scan_depth)
+    two = F.context.from_int(2)
+    crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
+    crit_b = False
+    if not finite and scan_depth >= n and violation is None:
+        s1 = growth_by_table(F, 1)
+        crit_b = sign_of(s1 - two) >= 0
+    if violation is not None:
+        if crit_a:
+            raise AssertionError("positivity criterion contradicted by scan")
+        return PositivityVerdict("nonpositive_found", witness=violation)
+    if crit_a:
+        return PositivityVerdict("provably_positive", reason="entries >= 2")
+    if crit_b:
+        return PositivityVerdict("provably_positive",
+                                 reason="first n rows positive and s1 >= 2")
+    if finite:
+        return PositivityVerdict("provably_positive",
+                                 reason="finite frieze, all interior rows scanned")
+    return PositivityVerdict("inconclusive")

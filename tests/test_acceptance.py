@@ -24,6 +24,7 @@ from artifact.cli import (_SUITES, random_polygon_dissection, random_quiddity,
 from artifact import is_skeletal_quiddity, realizability_test
 
 from conftest import ANNULUS_334_TEXT, cyc_eq, cyc_eq_either
+from frieze_oracle import growth_by_table
 
 
 def ints(ctx, *v):
@@ -268,6 +269,9 @@ def test_criterion_6_growth_recurrence():
         s += [growth_coefficient(F, k) for k in range(1, 6)]
         for k in range(1, 5):
             assert s[k + 1] == s[1] * s[k] - s[k - 1]
+        # s_k is computed by that recurrence, so the table must agree too
+        G = FriezeTable(Q)
+        assert s[1:] == [growth_by_table(G, k) for k in range(1, 6)]
 
 
 def test_criterion_6_inner_outer_suite():

@@ -6,9 +6,10 @@ from artifact import (FriezeTable, quiddity_new, format_quiddity,
                       growth_coefficient, check_positivity, cut, glue,
                       realizability_test, is_skeletal_quiddity,
                       quiddity_of)
-from artifact.frieze import is_finite_within, singleton_runs
+from artifact.frieze import singleton_runs
 
 from conftest import cyc_eq, cyc_eq_either
+from frieze_oracle import growth_by_table
 
 
 def ints(ctx, *v):
@@ -40,7 +41,7 @@ def test_triangulated_annulus_infinite_table():
     assert cyc_eq(F.row(3), ints(c, 8, 11, 11))
     assert cyc_eq(F.row(4), ints(c, 29, 8, 29))
     assert cyc_eq(F.row(5), ints(c, 105, 21, 21))
-    assert not is_finite_within(F, 20)
+    assert F.finite_width(20) is None
     assert growth_coefficient(F, 1) == c.from_int(7)
 
 
@@ -144,6 +145,9 @@ def test_growth_recurrence(rng):
         s += [growth_coefficient(F, k) for k in range(1, 6)]
         for k in range(1, 5):
             assert s[k + 1] == s[1] * s[k] - s[k - 1]
+        # s_k is computed by that recurrence, so the table must agree too
+        G = FriezeTable(Q)
+        assert s[1:] == [growth_by_table(G, k) for k in range(1, 6)]
 
 
 def test_growth_undefined_for_finite():

@@ -1,0 +1,199 @@
+"""Differential tests of the trace-based ``growth_coefficient`` and
+``check_positivity`` against their table-scan oracles in
+``frieze_oracle``.
+
+``growth_coefficient`` reads s_1 = tr M from two diagonal climbs, skips
+the finite-width scan when |s_1| > 2 and takes s_k from the recurrence;
+``check_positivity`` scans rows 1..n alone when s_1 > 2.  Both must give
+the oracle's answer, the oracle's ValueError included.  The cycles are
+every cycle of length n <= 4 over a small alphabet, the inputs of the
+golden ``growth`` cases, and the cycles that ``verify positivity-sweep
+--seed 13`` checks.
+"""
+
+import io
+import itertools
+import json
+import os
+import random
+
+import pytest
+
+import artifact.cli
+from artifact import FriezeTable, check_positivity, growth_coefficient
+from artifact.cli import _SUITES, parse_quiddity_text
+from artifact.frieze import quiddity_new
+from artifact.ring import sign_of
+
+from frieze_oracle import growth_by_table, positivity_by_table
+
+ALPHABET = [(3,), (4,), (5,), (3, 3), (3, 4)]
+
+SWEEP = [quiddity_new(A) for n in range(1, 5)
+         for A in itertools.product(ALPHABET, repeat=n)]
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden_growth_inputs():
+    with open(os.path.join(GOLDEN, "cases.json")) as fh:
+        cases = json.load(fh)
+    for case in cases:
+        argv = case["argv"]
+        if argv[0] == "growth":
+            with open(os.path.join(GOLDEN, argv[1])) as fh:
+                Q = parse_quiddity_text(fh.read())
+            yield case["name"], Q, int(argv[argv.index("--k") + 1])
+
+
+def _sweep_cycles():
+    """The cycles ``verify positivity-sweep --seed 13 --count 300`` checks,
+    in order."""
+    seen = []
+
+    def recording(F, depth):
+        seen.append(F.quiddity)
+        return check_positivity(F, depth)
+
+    saved = artifact.cli.check_positivity
+    artifact.cli.check_positivity = recording
+    try:
+        _SUITES["positivity-sweep"](random.Random(13), 300, io.StringIO())
+    finally:
+        artifact.cli.check_positivity = saved
+    return seen
+
+
+def _outcome(f, F, *args):
+    """f(F, *args), or the message of the ValueError it raises."""
+    try:
+        return f(F, *args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_growth_matches(Q, ks):
+    F, G = FriezeTable(Q), FriezeTable(Q)
+    for k in ks:
+        assert _outcome(growth_coefficient, F, k) == \
+            _outcome(growth_by_table, G, k), (Q, k)
+
+
+def assert_positivity_matches(Q, depths):
+    n = Q.n
+    for depth in depths:
+        got = check_positivity(FriezeTable(Q), depth)
+        want = _outcome(positivity_by_table, FriezeTable(Q), depth)
+        if want == ("ValueError", "growth coefficient undefined for "
+                                  "finite friezes"):
+            # the table scan's own fault: its finite width to depth missed
+            # a width that its s_1 found within n + 2 rows
+            assert n <= depth <= n + 1, (Q, depth)
+            assert FriezeTable(Q).finite_width(n + 2) is not None, Q
+            want = positivity_by_table(FriezeTable(Q), 3 * n)
+        assert got == want, (Q, depth)
+
+
+def test_growth_matches_table_on_sweep():
+    for Q in SWEEP:
+        assert_growth_matches(Q, (1, 2, 3, 5))
+
+
+def test_growth_matches_table_on_golden_inputs():
+    names = []
+    for name, Q, k in _golden_growth_inputs():
+        assert_growth_matches(Q, range(1, k + 1))
+        names.append(name)
+    assert "growth-octagon-period2-finite-after-s1" in names
+    assert "growth-hyperbolic-negative-trace" in names
+
+
+def test_growth_k_below_one_raises_as_table():
+    Q = quiddity_new([(3, 3), (3,), (3, 3, 4, 4)])
+    for k in (0, -1):
+        assert _outcome(growth_coefficient, FriezeTable(Q), k) == \
+            _outcome(growth_by_table, FriezeTable(Q), k)
+
+
+def test_positivity_matches_table_on_sweep():
+    for Q in SWEEP:
+        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+
+
+def test_sweep_covers_both_trace_paths():
+    # the sweep holds hyperbolic friezes on both sides and friezes that
+    # only the scan decides, finite ones included
+    kinds = set()
+    for Q in SWEEP:
+        F = FriezeTable(Q)
+        s1 = F.entry(0, Q.n + 1) - F.entry(1, Q.n)
+        two = Q.context.from_int(2)
+        finite = F.finite_width(3 * Q.n) is not None
+        kinds.add("s1>2" if sign_of(s1 - two) > 0 else
+                  "s1<-2" if sign_of(s1 + two) < 0 else
+                  "finite" if finite else "elliptic")
+    assert kinds == {"s1>2", "s1<-2", "finite", "elliptic"}
+
+
+def test_full_turn_finite_friezes_match_table():
+    # a finite frieze's cycle read t times, t the first with M^t = I: s_1 is
+    # 2 exactly, and only the scan tells the frieze finite
+    turned = []
+    for Q in SWEEP:
+        F, two = FriezeTable(Q), Q.context.from_int(2)
+        if F.finite_width(3 * Q.n) is None:
+            continue
+        for t in range(2, 12 // Q.n + 1):
+            if F.entry(0, t * Q.n + 1) - F.entry(1, t * Q.n) == two:
+                turned.append(quiddity_new(Q.A * t))
+                break
+    assert len(turned) >= 10
+    for Q in turned:
+        assert_growth_matches(Q, (1, 2, 3))
+        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+
+
+@pytest.fixture(scope="module")
+def sweep13():
+    return _sweep_cycles()
+
+
+def test_growth_matches_table_on_seed13_sweep(sweep13):
+    assert len(sweep13) == 600
+    for Q in sweep13:
+        assert_growth_matches(Q, (1, 2, 3))
+
+
+def test_positivity_matches_table_on_seed13_sweep(sweep13):
+    for Q in sweep13:
+        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+
+
+@pytest.mark.parametrize("A, depth", [
+    ([(4,)], 1),
+    ([(3,), (3, 4), (3, 4)], 3),
+    ([(4,), (3, 4), (4,), (3, 4)], 4),
+])
+def test_positivity_near_period_depth_on_finite_friezes(A, depth):
+    # the table scan raises here: the width lies in [depth, n + 2)
+    Q = quiddity_new(A)
+    with pytest.raises(ValueError):
+        positivity_by_table(FriezeTable(Q), depth)
+    assert check_positivity(FriezeTable(Q), depth) == \
+        check_positivity(FriezeTable(Q), 3 * Q.n)
+
+
+def test_positivity_near_period_depth_never_raises():
+    # depths n and n + 1 give a finite frieze of width below n + 2 the
+    # verdict of depth 3n; a wider one may read inconclusive there, as in
+    # the table scan, which the differential tests cover
+    finite = 0
+    for Q in SWEEP:
+        deep = check_positivity(FriezeTable(Q), 3 * Q.n)
+        width = FriezeTable(Q).finite_width(Q.n + 2)
+        for depth in (Q.n, Q.n + 1):
+            v = check_positivity(FriezeTable(Q), depth)
+            if width is not None:
+                assert v == deep, (Q, depth)
+                finite += 1
+    assert finite > 0

@@ -125,12 +125,30 @@ def test_empty_and_degenerate_windows():
 
 def test_budget_counts_all_matchings():
     # the pre-check refuses the window by its 1,728 matchings, although
-    # only 3 would be walked to the end
+    # only 3 would be walked to the end, and refuses it at the call
     D = parse_dissection_text(ANCHOR_TEXT)
     with pytest.raises(BudgetExceeded):
-        next(nonzero_traditional_matchings(D, 2, 12, budget=1727))
+        nonzero_traditional_matchings(D, 2, 12, budget=1727)
     assert len(list(nonzero_traditional_matchings(D, 2, 12,
                                                   budget=1728))) == 3
+
+
+def test_phi_refuses_before_any_tpath(monkeypatch):
+    # the 30-gon fan's window 2 -> 30 has 2^27 matchings: the budget must
+    # refuse it before the walk builds any complete T-path
+    with open(os.path.join(HERE, "inputs", "fan_n30.txt")) as fh:
+        D = parse_dissection_text(fh.read())
+
+    def no_paths(*args):
+        raise AssertionError("T-paths walked before the budget check")
+        yield
+
+    monkeypatch.setattr(artifact.tpaths, "_complete_tpaths", no_paths)
+    with pytest.raises(BudgetExceeded):
+        phi_bijection(D, 2, 30)
+    # the endpoints are still checked first
+    with pytest.raises(ValueError, match="vertex out of range"):
+        phi_bijection(D, 2, 31)
 
 
 def test_quotients_are_refused():
