@@ -152,6 +152,8 @@ def _cmd_realize(args, out):
 
 def _cmd_growth(args, out):
     Q = _load_quiddity(args.input)
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     F = FriezeTable(Q)
     try:
         for k in range(1, args.k + 1):
@@ -168,14 +170,12 @@ _MODES = {"local": "local", "trad": "traditional", "ann": "annulus"}
 def _cmd_matchings(args, out):
     D = _load_dissection(args.input)
     mode = _MODES[args.mode]
-    base = D.base
-    ctx = quiddity_of(base).context
     i, j = args.from_, args.to
     if args.list:
-        total = ctx.zero()
+        total = D.context.zero()
         count = 0
         for w in enumerate_matchings(D, i, j, budget=args.budget):
-            wt = weigh_matching(w, mode, D, ctx)
+            wt = weigh_matching(w, mode, D)
             total = total + wt
             count += 1
             faces = " ".join(str(fid) for _key, fid, _t in w.choice)
@@ -183,7 +183,7 @@ def _cmd_matchings(args, out):
                                       format_elem(wt)))
         out.write("matchings: %d\n" % count)
     else:
-        total = matching_sum(D, i, j, mode=mode, budget=args.budget, ctx=ctx)
+        total = matching_sum(D, i, j, mode=mode, budget=args.budget)
     out.write("sum: %s\n" % format_elem(total))
     return EXIT_OK
 
@@ -191,13 +191,12 @@ def _cmd_matchings(args, out):
 def _cmd_tpaths(args, out):
     D = _load_dissection(args.input)
     geo = PolygonGeometry(D)
-    ctx = quiddity_of(D).context
     i, j = args.from_, args.to
     # the bijection is checked first, so a refusal prints no paths
-    mapping = phi_bijection(D, i, j, ctx, geo) if args.check_phi else None
-    total = ctx.zero()
+    mapping = phi_bijection(D, i, j, geo) if args.check_phi else None
+    total = D.context.zero()
     count = 0
-    for path, wt in weighted_tpaths(D, i, j, args.kind, ctx, geo):
+    for path, wt in weighted_tpaths(D, i, j, args.kind, geo):
         total = total + wt
         count += 1
         route = " ".join("%d->%d" % st for st in path.steps)
@@ -328,14 +327,13 @@ def _suite_weights_equal(rng, count, out):
         else:
             _Q, cls = random_witness(rng, ("punctured_disc", "annulus"))
             D = cls.witness
-        ctx = quiddity_of(D).context
         n = D.surface.n
         i = rng.randint(0, n - 1)
         # on a polygon the window must not wrap around the boundary
         span = n - 1 if D.surface.kind == "polygon" else n + 1
         j = i + rng.randint(1, span)
-        a = matching_sum(D, i, j, "local", ctx=ctx)
-        b = matching_sum(D, i, j, "traditional", ctx=ctx)
+        a = matching_sum(D, i, j, "local")
+        b = matching_sum(D, i, j, "traditional")
         if a != b:
             fails += 1
             out.write("local/traditional weights differ on window (%d,%d)\n"
@@ -419,6 +417,8 @@ _SUITES = {
 
 
 def _cmd_verify(args, out):
+    if args.count < 0:
+        raise ValueError("count must be >= 0")
     rng = random.Random(args.seed)
     fails = _SUITES[args.suite](rng, args.count, out)
     out.write("suite %s: %d pass, %d fail\n"
@@ -459,10 +459,8 @@ def render_svg(D):
         return (cx, cy)  # the puncture
 
     if D.is_quotient():
-        class_index = {}
-        for fid in range(len(base.base_faces)):
-            root, _p = D._classes.find(fid)
-            class_index[fid] = root
+        class_index = {fid: D.class_key(fid, 0)[0]
+                       for fid in range(len(base.base_faces))}
         roots = sorted(set(class_index.values()))
         color_of = {f: _PALETTE[roots.index(c) % len(_PALETTE)]
                     for f, c in class_index.items()}

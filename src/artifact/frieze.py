@@ -140,9 +140,9 @@ class FriezeTable:
             hit = memo[(k % n, j - k)] = RingElem(self.context, x)
         return hit
 
-    def row(self, t, start=0):
+    def row(self, t):
         """Nontrivial row t (t >= 1): entries m_{i, i+t+1} for one period."""
-        return [self.entry(i, i + t + 1) for i in range(start, start + self.n)]
+        return [self.entry(i, i + t + 1) for i in range(self.n)]
 
     def finite_width(self, limit):
         """The first w < limit with row w+1 all ones and row w+2 all zeros

@@ -112,22 +112,30 @@ def _nonzero_walk(D, i, j, lists):
             counts[chosen.pop()[0]] -= 1
 
 
-def _context_of(D):
-    return quiddity_of(D.base, "outer").context
+@lru_cache(maxsize=None)
+def _u(ctx, k, p):
+    """U_k(lambda_p) in ctx, computed once per process."""
+    return chebyshev_u(ctx, k, ctx.lam(p))
 
 
-def weigh_matching(w, mode, D, ctx=None, u=None):
+def _check_mode(W, mode, length):
+    """Raise unless ``mode`` can weigh a matching of ``length`` corners
+    on W."""
+    if mode not in ("local", "traditional", "annulus"):
+        raise ValueError("unknown weighting mode %r" % mode)
+    if mode != "local" and W.is_quotient():
+        raise ValueError("mode %r is defined only for ordinary dissections"
+                         % mode)
+    if mode == "annulus" and length != W.surface.n:
+        raise ValueError("annulus weighting needs a full-period matching")
+
+
+def weigh_matching(w, mode, D):
     """Weight of one matching: local (run rule, class equality),
     traditional (per lifted face), or annulus (per base face,
-    full-period matchings only).  ``u(k, p)``, if given, returns
-    U_k(lambda_p) in ctx, so that callers weighing many matchings can
-    share one memo of these values."""
-    if ctx is None:
-        ctx = _context_of(D)
-    if u is None:
-        def u(k, p):
-            return chebyshev_u(ctx, k, ctx.lam(p))
-    base = D.base
+    full-period matchings only)."""
+    _check_mode(D, mode, len(w.choice))
+    ctx, base = D.context, D.base
     if mode == "local":
         total = ctx.one()
         k = 0
@@ -135,16 +143,9 @@ def weigh_matching(w, mode, D, ctx=None, u=None):
             k += 1
             nxt = w.choice[idx + 1][0] if idx + 1 < len(w.choice) else None
             if nxt != key:
-                total = total * u(k, base.face(fid).size)
+                total = total * _u(ctx, k, base.face(fid).size)
                 k = 0
         return total
-    if D.is_quotient():
-        raise ValueError("mode %r is defined only for ordinary dissections"
-                         % mode)
-    if mode not in ("traditional", "annulus"):
-        raise ValueError("unknown weighting mode %r" % mode)
-    if mode == "annulus" and len(w.choice) != base.surface.n:
-        raise ValueError("annulus weighting needs a full-period matching")
     counts = {}
     for key, fid, _t in w.choice:
         face = key if mode == "traditional" else fid
@@ -154,46 +155,33 @@ def weigh_matching(w, mode, D, ctx=None, u=None):
         p = base.face(fid).size
         if k > p - 2:
             return ctx.zero()
-        total = total * u(k, p)
+        total = total * _u(ctx, k, p)
     return total
 
 
-def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET, ctx=None):
+def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET):
     """Exact ring sum of weights over all matchings contributing to
     m_{i,j}.  One pass over the window positions keeps the partial sums
     of equal states merged.  In local mode the cost is about linear in
     the window length; traditional and annulus modes keep one state per
     multiset of open faces, which can grow exponentially with it.
     ``budget`` caps the number of matchings, as for the enumeration."""
-    if ctx is None:
-        ctx = _context_of(W)
+    ctx = W.context
     if j < i:
         raise ValueError("need j >= i")
     if j == i:
         return ctx.zero()
-    if mode not in ("local", "traditional", "annulus"):
-        raise ValueError("unknown weighting mode %r" % mode)
-    if mode != "local" and W.is_quotient():
-        raise ValueError("mode %r is defined only for ordinary dissections"
-                         % mode)
-    if mode == "annulus" and j - i - 1 != W.surface.n:
-        raise ValueError("annulus weighting needs a full-period matching")
+    _check_mode(W, mode, j - i - 1)
     lists = _choice_lists(W, i, j)
     if prod(len(c) for c in lists) > budget:
         raise BudgetExceeded("more than %d matchings" % budget)
     sizes = {f.id: f.size for f in W.base_faces}
-
-    @lru_cache(maxsize=None)
-    def u(k, fid):
-        """U_k(lambda_p) for the size p of face fid."""
-        return chebyshev_u(ctx, k, ctx.lam(sizes[fid]))
-
     if mode == "local":
-        return _local_sum(lists, u, ctx)
-    return _count_sum(lists, u, sizes, ctx, mode == "traditional")
+        return _local_sum(lists, sizes, ctx)
+    return _count_sum(lists, sizes, ctx, mode == "traditional")
 
 
-def _local_sum(lists, u, ctx):
+def _local_sum(lists, sizes, ctx):
     """Local weights: a run of k equal class keys closes with the factor
     U_k(lambda) of its face.  State (class key, fid, length of the open
     run) -> sum of the products of the closed runs."""
@@ -201,18 +189,18 @@ def _local_sum(lists, u, ctx):
     for options in lists:
         nxt = defaultdict(ctx.zero)
         for (key, fid, k), val in states.items():
-            closed = val * u(k, fid) if k else val
+            closed = val * _u(ctx, k, sizes[fid]) if k else val
             for key2, fid2, _t in options:
                 if key2 == key:
                     nxt[key, fid2, k + 1] += val
                 else:
                     nxt[key2, fid2, 1] += closed
         states = nxt
-    return sum((val * u(k, fid) if k else val
+    return sum((val * _u(ctx, k, sizes[fid]) if k else val
                 for (_key, fid, k), val in states.items()), ctx.zero())
 
 
-def _count_sum(lists, u, sizes, ctx, per_lift):
+def _count_sum(lists, sizes, ctx, per_lift):
     """Traditional (per_lift: faces are lifted class keys) and annulus
     (faces are base fids) weights: a face met k times has the factor
     U_k(lambda_p), zero once k > p - 2.  State: frozenset of (face, k) for
@@ -237,7 +225,7 @@ def _count_sum(lists, u, sizes, ctx, per_lift):
         for state, val in grown.items():
             done = {(face, k) for face, k in state if last[face] == idx}
             for face, k in done:
-                val = val * u(k, fid_of[face])
+                val = val * _u(ctx, k, sizes[fid_of[face]])
             states[state - done] += val
     return states[frozenset()]
 
@@ -250,10 +238,8 @@ def growth_via_annulus_weight(D, k=1, budget=DEFAULT_BUDGET):
         raise ValueError("annulus weighting is not defined on quotients")
     Dk = dissection_power(D, k) if k > 1 else D
     nk = Dk.surface.n
-    Q = quiddity_of(D, "outer")
-    ctx = Q.context
-    total = matching_sum(Dk, 0, nk + 1, mode="annulus", budget=budget, ctx=ctx)
-    expected = growth_coefficient(FriezeTable(Q), k)
+    total = matching_sum(Dk, 0, nk + 1, mode="annulus", budget=budget)
+    expected = growth_coefficient(FriezeTable(quiddity_of(D, "outer")), k)
     if total != expected:
         raise AssertionError("annulus-weight sum disagrees with the frieze "
                              "growth coefficient")

@@ -339,7 +339,8 @@ class RingContext:
 
     Contexts are immutable after creation apart from the refinement of the
     enclosure of mu; elements of different contexts never mix (no implicit
-    coercion), even when their L agrees.
+    coercion), even when their L agrees.  ``make_context`` hands out one
+    shared context per set of sizes; a context built directly is private.
     """
 
     def __init__(self, levels):
@@ -496,7 +497,13 @@ class RingElem:
 
 
 def make_context(levels):
-    """Build the ring context for a set of subgon sizes (each >= 3)."""
+    """The ring context for a set of subgon sizes (each >= 3), built once
+    per set and shared, so that its elements compare everywhere."""
+    return _context_for(frozenset(levels))
+
+
+@lru_cache(maxsize=None)
+def _context_for(levels):
     return RingContext(levels)
 
 

@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
+
+from .ring import make_context
 
 
 @dataclass(frozen=True)
@@ -410,6 +413,12 @@ class Dissection:
 
     def is_quotient(self):
         return False
+
+    @cached_property
+    def context(self):
+        """The ring of the face sizes.  Every face has an outer corner, so
+        this is the context of ``quiddity_of(self)``."""
+        return make_context(f.size for f in self.base_faces)
 
     @property
     def base(self):

@@ -10,10 +10,8 @@ matchings.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 from .ring import chebyshev_u
-from .surface import quiddity_of
 from .matchings import nonzero_traditional_matchings, weigh_matching
 
 
@@ -42,6 +40,7 @@ class PolygonGeometry:
         if D.is_quotient() or D.surface.kind != "polygon":
             raise ValueError("T-paths are defined on dissected polygons")
         self.n = D.surface.n
+        self.context = D.context
         self.faces = {}          # fid -> sorted vertex numbers
         self.faces_at = {}       # vertex -> fids of the subgons holding it
         for f in D.base_faces:
@@ -57,13 +56,14 @@ class PolygonGeometry:
                     key = frozenset((vs[ai], vs[bi]))
                     # edges shared by two subgons have weight 1 in either
                     self.chords.setdefault(key, fid)
-        self._u = {}             # (ctx, k, p) -> U_k(lambda_p)
+        self._u = {}             # (k, p) -> U_k(lambda_p)
 
-    def u(self, ctx, k, p):
-        """U_k(lambda_p) in ctx, computed once per geometry."""
-        val = self._u.get((ctx, k, p))
+    def u(self, k, p):
+        """U_k(lambda_p), computed once per geometry."""
+        val = self._u.get((k, p))
         if val is None:
-            val = self._u[ctx, k, p] = chebyshev_u(ctx, k, ctx.lam(p))
+            ctx = self.context
+            val = self._u[k, p] = chebyshev_u(ctx, k, ctx.lam(p))
         return val
 
     def _skip(self, u, w):
@@ -81,12 +81,12 @@ class PolygonGeometry:
         k = abs(vs.index(w) - vs.index(u)) - 1
         return min(k, p - 2 - k), p
 
-    def path_weight(self, ctx, path):
-        total = ctx.one()
+    def path_weight(self, path):
+        total = self.context.one()
         for u, w in path.steps[::2]:
             k, p = self._skip(u, w)
             if k:  # U_0 = 1
-                total = total * self.u(ctx, k, p)
+                total = total * self.u(k, p)
         return total
 
     def crossed_arcs(self, i, j):
@@ -126,15 +126,13 @@ def enumerate_tpaths(D, i, j, kind="weak"):
     yield from _tpaths(PolygonGeometry(D), i, j, kind)
 
 
-def weighted_tpaths(D, i, j, kind="weak", ctx=None, geo=None):
+def weighted_tpaths(D, i, j, kind="weak", geo=None):
     """(path, weight) for every T-path of ``enumerate_tpaths``, all on one
     build of the dissection's tables (``geo``, built if not given)."""
     if geo is None:
         geo = PolygonGeometry(D)
-    if ctx is None:
-        ctx = quiddity_of(D).context
     for path in _tpaths(geo, i, j, kind):
-        yield path, geo.path_weight(ctx, path)
+        yield path, geo.path_weight(path)
 
 
 def _tpaths(geo, i, j, kind):
@@ -221,19 +219,15 @@ def _steps(trail):
     return tuple(reversed(steps))
 
 
-def tpath_weight(D, path, ctx=None):
+def tpath_weight(D, path):
     """Product of odd-step weights over even-step weights; even steps are
     arcs of the dissection (weight one), so no ring division happens."""
-    if ctx is None:
-        ctx = quiddity_of(D).context
-    return PolygonGeometry(D).path_weight(ctx, path)
+    return PolygonGeometry(D).path_weight(path)
 
 
-def tpath_sum(D, i, j, kind="weak", ctx=None):
-    if ctx is None:
-        ctx = quiddity_of(D).context
-    return sum((wt for _path, wt in weighted_tpaths(D, i, j, kind, ctx)),
-               ctx.zero())
+def tpath_sum(D, i, j, kind="weak"):
+    return sum((wt for _path, wt in weighted_tpaths(D, i, j, kind)),
+               D.context.zero())
 
 
 def _left_counts(geo, subgons, path):
@@ -243,7 +237,7 @@ def _left_counts(geo, subgons, path):
                  for fid, (u, w) in zip(subgons, path.steps[::2]))
 
 
-def phi_bijection(D, i, j, ctx=None, geo=None):
+def phi_bijection(D, i, j, geo=None):
     """The weight-preserving bijection from nonzero-traditional-weight
     matchings between v_i and v_j to complete T-paths: the number of
     vertices of each crossed subgon left of the corresponding odd step
@@ -254,8 +248,6 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
     dissection's ``PolygonGeometry``, built if not given."""
     if geo is None:
         geo = PolygonGeometry(D)
-    if ctx is None:
-        ctx = quiddity_of(D).context
     # left-counts depend on the traversal direction; use the
     # counterclockwise one
     i, j = min(i, j), max(i, j)
@@ -274,9 +266,8 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
 
     mapping = {}
     used = set()
-    u = partial(geo.u, ctx)
     for w in matchings:
-        wt = weigh_matching(w, "traditional", D, ctx, u)
+        wt = weigh_matching(w, "traditional", D)
         if wt.is_zero():
             raise AssertionError("the pruned walk kept a matching of zero "
                                  "weight")
@@ -290,7 +281,7 @@ def phi_bijection(D, i, j, ctx=None, geo=None):
         path = paths[key]
         if path in used:
             raise AssertionError("mapping is not injective")
-        if geo.path_weight(ctx, path) != wt:
+        if geo.path_weight(path) != wt:
             raise AssertionError("weights differ across the bijection")
         mapping[w] = path
         used.add(path)

@@ -158,7 +158,7 @@ def test_criterion_5_matching_tables():
     triples = []
     totals = [ctx.zero()] * 3
     for w in ms:
-        tr = [weigh_matching(w, mode, D, ctx)
+        tr = [weigh_matching(w, mode, D)
               for mode in ("local", "traditional", "annulus")]
         totals = [t + x for t, x in zip(totals, tr)]
         if any(not x.is_zero() for x in tr):
@@ -181,9 +181,9 @@ def test_criterion_5_matching_tables():
     Fp = FriezeTable(Qp)
     m28 = list(enumerate_matchings(P, 2, 8))
     assert len(m28) == 12
-    assert matching_sum(P, 2, 8, ctx=cp) == -cp.one()
+    assert matching_sum(P, 2, 8) == -cp.one()
     assert Fp.entry(2, 8) == -cp.one()
-    w410 = [weigh_matching(w, "local", P, cp)
+    w410 = [weigh_matching(w, "local", P)
             for w in enumerate_matchings(P, 4, 10)]
     assert len(w410) == 12
     assert sorted(map(format, w410)) == sorted(
@@ -217,7 +217,7 @@ def test_criterion_6_entry_equals_local_sum():
         i = rng.randint(0, Q.n - 1)
         j = i + rng.randint(1, Q.n - 1 if cls.kind == "polygon" else Q.n + 1)
         try:
-            s = matching_sum(D, i, j, "local", ctx=Q.context)
+            s = matching_sum(D, i, j, "local")
         except BudgetExceeded:
             continue
         assert F.entry(i, j) == s, (list(Q.A), i, j)
@@ -233,7 +233,7 @@ def test_criterion_6_entry_equals_local_sum_quotients():
         i = rng.randint(0, Q.n - 1)
         j = i + rng.randint(1, Q.n + 1)
         try:
-            s = matching_sum(cls.witness, i, j, "local", ctx=Q.context)
+            s = matching_sum(cls.witness, i, j, "local")
         except BudgetExceeded:
             continue
         assert F.entry(i, j) == s, (list(Q.A), i, j)

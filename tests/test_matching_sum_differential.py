@@ -1,10 +1,11 @@
 """Differential test of the transfer-matrix ``matching_sum`` against the
 brute force: the sum of ``weigh_matching`` over ``enumerate_matchings``.
 
-Both sides are evaluated in one ring context, because ring elements compare
-only within the context that made them.
+Both sides weigh in the dissection's ring context, the one shared context
+of its face sizes.
 """
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from artifact import (BudgetExceeded, FriezeTable, dissection_power,
                       growth_via_annulus_weight, matching_sum,
                       parse_dissection_text, quiddity_of, weigh_matching)
 from artifact.cli import random_quotient_cycle, random_witness
+from golden.record import HERE
 
 # windows checked exhaustively have at most SMALL matchings; single wider
 # windows go up to LIMIT
@@ -39,11 +41,11 @@ def within(D, i, j, limit):
     return True
 
 
-def check_window(D, i, j, mode, ctx):
-    want = ctx.zero()
+def check_window(D, i, j, mode):
+    want = D.context.zero()
     for w in enumerate_matchings(D, i, j, budget=LIMIT):
-        want = want + weigh_matching(w, mode, D, ctx)
-    got = matching_sum(D, i, j, mode, ctx=ctx)
+        want = want + weigh_matching(w, mode, D)
+    got = matching_sum(D, i, j, mode)
     assert got == want, (mode, i, j, format(got), format(want))
 
 
@@ -51,9 +53,7 @@ def check_dissection(D, modes, starts=None, max_span=None):
     """Every window from each start with at most SMALL matchings, in the
     local and traditional modes; the annulus weight on the full-period
     window from each start.  Returns the number of sums checked."""
-    base = D.base if D.is_quotient() else D
-    ctx = quiddity_of(base).context
-    n = base.surface.n
+    n = D.surface.n
     starts = range(n) if starts is None else starts
     checked = 0
     for i in starts:
@@ -63,10 +63,10 @@ def check_dissection(D, modes, starts=None, max_span=None):
                 break
             for mode in modes:
                 if mode != "annulus":
-                    check_window(D, i, j, mode, ctx)
+                    check_window(D, i, j, mode)
                     checked += 1
         if "annulus" in modes and within(D, i, i + n + 1, LIMIT):
-            check_window(D, i, i + n + 1, "annulus", ctx)
+            check_window(D, i, i + n + 1, "annulus")
             checked += 1
     return checked
 
@@ -77,14 +77,13 @@ def test_worked_annulus_all_modes(annulus_334):
 
 def test_worked_annulus_widest_windows(annulus_334):
     # the widest windows from each start with at most LIMIT matchings
-    ctx = quiddity_of(annulus_334).context
     for i in range(3):
         j = i + 1
         while within(annulus_334, i, j + 1, LIMIT):
             j += 1
         assert not within(annulus_334, i, j, LIMIT // 4)
         for mode in ("local", "traditional"):
-            check_window(annulus_334, i, j, mode, ctx)
+            check_window(annulus_334, i, j, mode)
 
 
 def test_readme_witness_all_modes():
@@ -95,6 +94,14 @@ def test_readme_witness_all_modes():
 def test_pentagon_all_modes(pentagon_24_25):
     # polygon windows wrap around the boundary past the finite band
     assert check_dissection(pentagon_24_25, MODES, max_span=12) >= 40
+
+
+def test_golden_disc_all_modes():
+    # seed 7 of the random witnesses below draws no punctured disc
+    with open(os.path.join(HERE, "inputs", "disc_6.txt")) as fh:
+        D = parse_dissection_text(fh.read())
+    assert D.surface.kind == "disc"
+    assert check_dissection(D, MODES) >= 40
 
 
 def test_random_witnesses_all_modes():
@@ -123,14 +130,24 @@ def test_unknown_mode_is_rejected(annulus_334):
         matching_sum(annulus_334, 0, 4, "bogus")
 
 
+def test_unknown_mode_is_rejected_before_the_quotient_check():
+    _Q, cls = random_quotient_cycle(random.Random(11))
+    D = cls.witness
+    w = next(enumerate_matchings(D, 0, 2))
+    for weigh in (lambda: matching_sum(D, 0, 2, "bogus"),
+                  lambda: weigh_matching(w, "bogus", D)):
+        with pytest.raises(ValueError, match="unknown weighting mode"):
+            weigh()
+    with pytest.raises(ValueError, match="only for ordinary dissections"):
+        weigh_matching(w, "traditional", D)
+
+
 def test_long_windows_beyond_the_brute_force(annulus_334):
     # window (0,40) has 2^13 * 4^13 matchings; only the pass can sum them
     Q = quiddity_of(annulus_334)
-    ctx = Q.context
     entry = FriezeTable(Q).entry(0, 40)
     for mode in ("local", "traditional"):
-        assert matching_sum(annulus_334, 0, 40, mode, budget=10 ** 30,
-                            ctx=ctx) == entry
+        assert matching_sum(annulus_334, 0, 40, mode, budget=10 ** 30) == entry
     with pytest.raises(BudgetExceeded):
         matching_sum(annulus_334, 0, 40)
 
@@ -138,16 +155,14 @@ def test_long_windows_beyond_the_brute_force(annulus_334):
 def test_growth_by_annulus_weight_on_powers(annulus_334):
     # s_k sums over the full-period matchings of the k-fold dissection:
     # 12^k of them on the worked annulus, past the default budget at k = 8
-    Q = quiddity_of(annulus_334)
-    ctx = Q.context
-    F = FriezeTable(Q)
+    F = FriezeTable(quiddity_of(annulus_334))
     for k in (3, 8):
         Dk = dissection_power(annulus_334, k)
         nk = Dk.surface.n
         if k == 8:
             with pytest.raises(BudgetExceeded):
-                matching_sum(Dk, 0, nk + 1, "annulus", ctx=ctx)
-        sk = matching_sum(Dk, 0, nk + 1, "annulus", budget=10 ** 30, ctx=ctx)
+                matching_sum(Dk, 0, nk + 1, "annulus")
+        sk = matching_sum(Dk, 0, nk + 1, "annulus", budget=10 ** 30)
         assert sk == growth_coefficient(F, k)
         checked = growth_via_annulus_weight(annulus_334, k, budget=10 ** 30)
         assert checked.coeffs == sk.coeffs

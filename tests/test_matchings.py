@@ -17,7 +17,7 @@ def test_full_period_window_weight_table(annulus_334):
     ms = list(enumerate_matchings(annulus_334, 0, 4))
     assert len(ms) == 12
     triples = sorted(
-        tuple(format(weigh_matching(w, mode, annulus_334, ctx))
+        tuple(format(weigh_matching(w, mode, annulus_334))
               for mode in ("local", "traditional", "annulus"))
         for w in ms)
 
@@ -33,9 +33,9 @@ def test_full_period_window_weight_table(annulus_334):
            (fmt(-ctx.one()), fmt(ctx.zero()), fmt(ctx.zero()))])
     assert triples == expected
     e = lambda a, b: ctx.from_int(a) + ctx.from_int(b) * r2
-    assert matching_sum(annulus_334, 0, 4, "local", ctx=ctx) == e(4, 3)
-    assert matching_sum(annulus_334, 0, 4, "traditional", ctx=ctx) == e(4, 3)
-    assert matching_sum(annulus_334, 0, 4, "annulus", ctx=ctx) == e(3, 3)
+    assert matching_sum(annulus_334, 0, 4, "local") == e(4, 3)
+    assert matching_sum(annulus_334, 0, 4, "traditional") == e(4, 3)
+    assert matching_sum(annulus_334, 0, 4, "annulus") == e(3, 3)
 
 
 def test_matching_counts_small(annulus_334):
@@ -43,7 +43,7 @@ def test_matching_counts_small(annulus_334):
     only = list(enumerate_matchings(annulus_334, 2, 3))
     assert len(only) == 1 and len(only[0]) == 0
     ctx = quiddity_of(annulus_334).context
-    assert matching_sum(annulus_334, 2, 3, ctx=ctx) == ctx.one()
+    assert matching_sum(annulus_334, 2, 3) == ctx.one()
 
 
 def test_pentagon_windows_beyond_the_finite_band(pentagon_24_25):
@@ -55,16 +55,16 @@ def test_pentagon_windows_beyond_the_finite_band(pentagon_24_25):
     for i, j in ((2, 8), (4, 10)):
         ms = list(enumerate_matchings(pentagon_24_25, i, j))
         assert len(ms) == 12
-        weights = [weigh_matching(w, "local", pentagon_24_25, ctx)
+        weights = [weigh_matching(w, "local", pentagon_24_25)
                    for w in ms]
         assert F.entry(i, j) == -ctx.one()
-        assert matching_sum(pentagon_24_25, i, j, ctx=ctx) == -ctx.one()
+        assert matching_sum(pentagon_24_25, i, j) == -ctx.one()
         total = ctx.zero()
         for x in weights:
             total = total + x
         assert total == -ctx.one()
     # the (4,10) window has nine zero weights, two -1 and one +1
-    w410 = [weigh_matching(w, "local", pentagon_24_25, ctx)
+    w410 = [weigh_matching(w, "local", pentagon_24_25)
             for w in enumerate_matchings(pentagon_24_25, 4, 10)]
     zero, one = ctx.zero(), ctx.one()
     assert sorted(map(format, w410)) == sorted(
@@ -81,7 +81,7 @@ def test_entry_equals_local_sum_random(rng):
         i = rng.randint(0, Q.n - 1)
         j = i + rng.randint(1, Q.n - 1 if cls.kind == "polygon" else Q.n + 1)
         try:
-            s = matching_sum(D, i, j, "local", ctx=Q.context)
+            s = matching_sum(D, i, j, "local")
         except BudgetExceeded:
             continue
         assert F.entry(i, j) == s, (list(Q.A), i, j)
@@ -96,7 +96,7 @@ def test_entry_equals_local_sum_on_quotients(rng):
         i = rng.randint(0, Q.n - 1)
         j = i + rng.randint(1, Q.n + 1)
         try:
-            s = matching_sum(D, i, j, "local", ctx=Q.context)
+            s = matching_sum(D, i, j, "local")
         except BudgetExceeded:
             continue
         assert F.entry(i, j) == s, (list(Q.A), i, j)

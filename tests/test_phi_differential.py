@@ -18,7 +18,7 @@ import artifact.tpaths
 from artifact import (Arc, BudgetExceeded, build_dissection,
                       enumerate_matchings, nonzero_traditional_matchings,
                       parse_dissection_text, phi_bijection, polygon,
-                      quiddity_of, weigh_matching)
+                      weigh_matching)
 from artifact.cli import random_polygon_dissection
 from artifact.matchings import _choice_lists
 from artifact.surface import chords_cross
@@ -47,9 +47,8 @@ STRIP_TEXT = "polygon 946\n" + "".join(
 
 
 def oracle(D, i, j, budget=LIMIT):
-    ctx = quiddity_of(D).context
     return [w for w in enumerate_matchings(D, i, j, budget=budget)
-            if not weigh_matching(w, "traditional", D, ctx).is_zero()]
+            if not weigh_matching(w, "traditional", D).is_zero()]
 
 
 def window_size(D, i, j):

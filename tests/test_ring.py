@@ -2,7 +2,8 @@
 
 import random
 
-from artifact import (make_context, chebyshev_u, sign_of, format_elem)
+from artifact import (RingContext, make_context, chebyshev_u, sign_of,
+                      format_elem)
 
 
 def U(ctx, k, p):
@@ -88,8 +89,11 @@ def test_sign_of_exact():
 
 
 def test_equality_requires_shared_context():
-    c1 = make_context([4])
-    c2 = make_context([4])
+    # make_context shares one context per set of sizes; contexts built
+    # directly stay private and never compare equal
+    assert make_context([4]) is make_context([4]) is make_context({4})
+    c1 = RingContext([4])
+    c2 = RingContext([4])
     assert c1.lam(4) == c1.lam(4)
     assert not (c1.lam(4) == c2.lam(4))
 

@@ -24,21 +24,19 @@ def all_pairs(n):
 
 def test_tpath_sum_matches_entries_hexagon(hexagon_13_35):
     Q = quiddity_of(hexagon_13_35)
-    ctx = Q.context
     F = FriezeTable(Q)
     for i, j in all_pairs(6):
         for kind in ("weak", "complete"):
-            s = tpath_sum(hexagon_13_35, i, j, kind, ctx=ctx)
+            s = tpath_sum(hexagon_13_35, i, j, kind)
             assert s == F.entry(min(i, j), max(i, j)), (i, j, kind)
 
 
 def test_tpath_sum_matches_entries_pentagon(pentagon_24_25):
     Q = quiddity_of(pentagon_24_25)
-    ctx = Q.context
     F = FriezeTable(Q)
     for i, j in all_pairs(5):
         for kind in ("weak", "complete"):
-            s = tpath_sum(pentagon_24_25, i, j, kind, ctx=ctx)
+            s = tpath_sum(pentagon_24_25, i, j, kind)
             assert s == F.entry(min(i, j), max(i, j)), (i, j, kind)
 
 
@@ -52,22 +50,20 @@ def test_complete_paths_are_weak_paths(hexagon_13_35):
 
 def test_single_step_path_weight(hexagon_13_35):
     # adjacent boundary vertices: one path, one odd step, weight one
-    ctx = quiddity_of(hexagon_13_35).context
     paths = list(enumerate_tpaths(hexagon_13_35, 1, 2))
     assert len(paths) == 1 and paths[0].steps == ((1, 2),)
-    assert tpath_weight(hexagon_13_35, paths[0], ctx) == ctx.one()
+    assert tpath_weight(hexagon_13_35, paths[0]) == 1
 
 
 def test_phi_bijection_fixed(hexagon_13_35, pentagon_24_25):
     for D, pairs in ((hexagon_13_35, ((1, 4), (2, 5), (2, 6), (6, 3))),
                      (pentagon_24_25, ((1, 3), (1, 4), (3, 5)))):
-        ctx = quiddity_of(D).context
         for i, j in pairs:
             m = phi_bijection(D, i, j)
             assert len(m) >= 1
             for w, path in m.items():
-                assert weigh_matching(w, "traditional", D, ctx) == \
-                    tpath_weight(D, path, ctx)
+                assert weigh_matching(w, "traditional", D) == \
+                    tpath_weight(D, path)
 
 
 def test_phi_bijection_random(rng):
