@@ -6,7 +6,7 @@ matching, growth coefficient, and T-path formulas."""
 from .ring import (RingContext, RingElem, make_context, chebyshev_u,
                    sign_of, format_elem)
 from .frieze import (QuiddityCycle, FriezeTable, quiddity_new,
-                     format_quiddity, growth_coefficient,
+                     format_quiddity, growth_coefficient, growth_coefficients,
                      check_positivity, cut, glue, singleton_runs,
                      realizability_test, is_skeletal_quiddity)
 from .surface import (Surface, Arc, Dissection, QuotientDissection,

@@ -14,7 +14,7 @@ import sys
 
 from .ring import format_elem
 from .frieze import (FriezeTable, format_quiddity, quiddity_new,
-                     check_positivity, growth_coefficient)
+                     check_positivity, growth_coefficients)
 from .surface import (parse_dissection_text, format_dissection, quiddity_of,
                       dissection_power, chords_cross)
 from .realize import classify_realizability, witness_nonuniqueness_probe
@@ -156,8 +156,8 @@ def _cmd_growth(args, out):
         raise ValueError("k must be >= 1")
     F = FriezeTable(Q)
     try:
-        for k in range(1, args.k + 1):
-            out.write("s_%d = %s\n" % (k, format_elem(growth_coefficient(F, k))))
+        for k, s in enumerate(growth_coefficients(F, args.k), 1):
+            out.write("s_%d = %s\n" % (k, format_elem(s)))
     except ValueError as exc:
         out.write("%s\n" % exc)
         return EXIT_NEGATIVE

@@ -168,24 +168,32 @@ def _first_nonpositive(F, depth):
     return None
 
 
-def growth_coefficient(F, k):
-    """Growth coefficient s_k = tr M^k = m_{0,kn+1} - m_{1,kn} of an
-    infinite frieze, by s_0 = 2 and s_{k+1} = s_1 s_k - s_{k-1}.
+def growth_coefficients(F, k):
+    """Growth coefficients s_1, ..., s_k, s_j = tr M^j = m_{0,jn+1} -
+    m_{1,jn}, of an infinite frieze, by s_0 = 2 and s_{j+1} = s_1 s_j -
+    s_{j-1}.
 
     With |s_1| > 2 no row is scanned; with |s_1| <= 2 a finite width
-    within kn + 2 rows raises ValueError.
+    within jn + 2 rows raises ValueError in place of s_j.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # s_1 = tr M by two diagonal climbs; |s_1| > 2: no power of M, nor of
     # the minimal-period matrix that M is a power of, is -I: infinite
     s1, two = F.entry(0, F.n + 1) - F.entry(1, F.n), F.context.from_int(2)
-    if sign_of(s1 - two) <= 0 <= sign_of(s1 + two) and \
-       F.finite_width(k * F.n + 2) is not None:
-        raise ValueError("growth coefficient undefined for finite friezes")
+    bounded = sign_of(s1 - two) <= 0 <= sign_of(s1 + two)
     s_prev, s = two, s1
-    for _ in range(k - 1):
-        s_prev, s = s, s1 * s - s_prev
+    for j in range(1, k + 1):
+        if j > 1:
+            s_prev, s = s, s1 * s - s_prev
+        if bounded and F.finite_width(j * F.n + 2) is not None:
+            raise ValueError("growth coefficient undefined for finite friezes")
+        yield s
+
+
+def growth_coefficient(F, k):
+    """The growth coefficient s_k, the last of ``growth_coefficients``."""
+    *_, s = growth_coefficients(F, k)
     return s
 
 

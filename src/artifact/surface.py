@@ -16,7 +16,10 @@ traces, and it closes because the net voltage of a face is 0.  A polygon
 is one period whose boundary closes up, so all its voltages are 0.
 
 Ears and relabellings compose into one vertex map (``glue_ears``), of
-which gluing one ear and rotating the labels are one-step forms.
+which gluing one ear and rotating the labels are one-step forms.  Only
+parsed input and skeletal cores are walked: a glued dissection's faces are
+assembled from the faces it glues onto, moved by the map, and one face per
+ear, and a power's from its base faces, translated.
 
 Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
@@ -184,13 +187,25 @@ class Dissection:
     """
 
     def __init__(self, surface, arcs):
+        self._set_arcs(surface, arcs)
+        self._compute_faces()
+
+    @classmethod
+    def _assemble(cls, surface, arcs, faces):
+        """A dissection with known faces, each from its leftmost bottom vertex
+        in [0, n): validated, numbered and checked to tile, not walked."""
+        D = cls.__new__(cls)
+        D._set_arcs(surface, arcs)
+        D._set_faces(faces)
+        return D
+
+    def _set_arcs(self, surface, arcs):
         self.surface = surface
         arcs = list(arcs)
         if len(set(arcs)) != len(arcs):
             raise ValueError("duplicate arcs")
         self.arcs = tuple(sorted(arcs))
         self._validate_arcs()
-        self._compute_faces()
 
     # -- validation ---------------------------------------------------------
 
@@ -262,8 +277,11 @@ class Dissection:
 
     def _compute_faces(self):
         n, m = self.surface.n, self.surface.m
-        faces = sorted((_normal_face(f, n, m)[0] for f in self._walk_faces()),
-                       key=lambda vs: (len(vs), [_vertex_sort_key(v) + v for v in vs]))
+        self._set_faces(_normal_face(f, n, m)[0] for f in self._walk_faces())
+
+    def _set_faces(self, faces):
+        faces = sorted(faces, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
+                                                        for v in vs]))
         self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
             if f.size < 3:
@@ -633,7 +651,11 @@ def dissection_power(D, k):
                 xa = (arc.a - 1) + c * n
                 xb = (arc.b - 1 if arc.b > arc.a else arc.b - 1 + n) + c * n
                 arcs.append(Arc("peri", xa % (k * n) + 1, xb % (k * n) + 1))
-    return Dissection(Surface(s.kind, k * n, k * m), arcs)
+    # the c-th translate of a base face starts at its leftmost vertex plus
+    # c periods, which lies in [0, kn)
+    faces = [tuple(_translate_vertex(v, c, n, m) for v in f.verts)
+             for f in D.base_faces for c in range(k)]
+    return Dissection._assemble(Surface(s.kind, k * n, k * m), arcs, faces)
 
 
 def glue_ear(D, g, p):
@@ -655,8 +677,8 @@ def glue_ears(D, steps):
     labels by r; a step with g None rotates only.  Each step only inserts
     p - 2 outer vertices after v_g and shifts the labels by r, so the steps
     compose into one map from vertices to final labels, applied to the arcs
-    of D, to one ear arc per step and to the faces a quotient's glue
-    names."""
+    of D, to one ear arc per step and to the faces, which are not walked
+    again: those of D moved by the map, and one per ear."""
     if not steps:
         return D
     base = D.base
@@ -664,14 +686,14 @@ def glue_ears(D, steps):
     m = s.m
     order = list(range(s.n))  # order[k]: id of the vertex labelled k + 1
     wrap = [0] * s.n          # periods each vertex's lift has moved
-    ear_ends = []
+    ears = []                 # the vertex ids of each ear, in boundary order
     rotated = False
     for g, p, r in steps:
         n = len(order)
         if g is not None:
             if not 1 <= g <= n:
                 raise ValueError("glue position out of range")
-            ear_ends.append((order[g - 1], order[g % n]))
+            ears.append([order[g - 1], *range(n, n + p - 2), order[g % n]])
             order[g:g] = range(n, n + p - 2)
             wrap.extend([0] * (p - 2))
         r %= len(order)
@@ -704,41 +726,40 @@ def glue_ears(D, steps):
         else:
             arcs.append(Arc(arc.kind, a, label[arc.b - 1] + 1))
     kind = "diag" if s.kind == "polygon" else "peri"
-    arcs += [Arc(kind, label[u] + 1, label[v] + 1) for u, v in ear_ends]
-    new = Dissection(Surface(s.kind, N, m), arcs)
-    if not D.is_quotient():
-        return new
+    arcs += [Arc(kind, label[e[0]] + 1, label[e[-1]] + 1) for e in ears]
+
+    closed = s.kind == "polygon"
+
+    def bottom(x):  # a polygon's boundary closes up after one period
+        return ("b", x % N if closed else x)
 
     def move(v):
-        if v[0] != "b":
-            return (v[0], v[1] + lift)
+        if v[0] == "t":
+            return ("t", v[1] + lift)
+        if v[0] != "b":  # the puncture
+            return v
         k, i = divmod(v[1], s.n)
-        return ("b", label[i] + (k + wrap[i]) * N)
+        return bottom(label[i] + (k + wrap[i]) * N)
 
-    return _requote(D, new, move)
-
-
-def _requote(D, new, move):
-    """The quotient D carried over to the base ``new``, whose faces are
-    those of D.base with every vertex moved by ``move``: each face is found
-    again by its vertex cycle from the leftmost bottom vertex, and a
-    single-offset relation (a, b, d) identifying lift (a, 0) with lift
-    (b, d) becomes
-    (a', b', d + t_b - t_a), where t is the period shift of a face's
-    canonical representative."""
-    n, m = new.surface.n, new.surface.m
-    lookup = {f.verts: f.id for f in new.base_faces}
-
-    def map_face(fid):
-        key, t = _normal_face([move(v) for v in D.base.face(fid).verts], n, m)
-        if key not in lookup:
-            raise AssertionError("face lost while relabelling a quotient")
-        return lookup[key], t
-
+    moved = [_normal_face([move(v) for v in f.verts], N, m)
+             for f in base.base_faces]
+    faces = [f for f, _t in moved]
+    for u, *rest in ears:
+        # the ear's vertices follow u's label, the last at most a period on
+        x = label[u]
+        ear = [x] + [x + (label[w] - x - 1) % N + 1 for w in rest]
+        faces.append(_normal_face([bottom(y) for y in ear], N, m)[0])
+    new = Dissection._assemble(Surface(s.kind, N, m), arcs, faces)
+    if not D.is_quotient():
+        return new
+    # a relation (a, b, d) identifying lift (a, 0) with lift (b, d) becomes
+    # (a', b', d + t_b - t_a), t the period shift of a moved face's normal form
+    ids = {f.verts: f.id for f in new.base_faces}
     trace = []
     for rel in D.trace:
-        (fa, ta), (fb, tb) = map_face(rel[0]), map_face(rel[1])
-        trace.append((fa, fb) if len(rel) == 2 else (fa, fb, rel[2] + tb - ta))
+        (fa, ta), (fb, tb) = moved[rel[0]], moved[rel[1]]
+        trace.append((ids[fa], ids[fb]) if len(rel) == 2
+                     else (ids[fa], ids[fb], rel[2] + tb - ta))
     return QuotientDissection(new, trace)
 
 

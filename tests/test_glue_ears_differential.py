@@ -20,9 +20,32 @@ from artifact import (Arc, Dissection, Surface, cut, format_dissection,
 from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
                           random_witness)
 from artifact.realize import _classify, _classify_core, _construct
-from artifact.surface import _requote
+from artifact.surface import QuotientDissection, _normal_face
 
 from conftest import ANNULUS_334_TEXT
+
+
+def _requote(D, new, move):
+    """The quotient D carried over to the base ``new``, whose faces are
+    those of D.base with every vertex moved by ``move``: each face is found
+    again by its vertex cycle from the leftmost bottom vertex, and a
+    single-offset relation (a, b, d) identifying lift (a, 0) with lift
+    (b, d) becomes (a', b', d + t_b - t_a), where t is the period shift of
+    a face's canonical representative."""
+    n, m = new.surface.n, new.surface.m
+    lookup = {f.verts: f.id for f in new.base_faces}
+
+    def map_face(fid):
+        key, t = _normal_face([move(v) for v in D.base.face(fid).verts], n, m)
+        if key not in lookup:
+            raise AssertionError("face lost while relabelling a quotient")
+        return lookup[key], t
+
+    trace = []
+    for rel in D.trace:
+        (fa, ta), (fb, tb) = map_face(rel[0]), map_face(rel[1])
+        trace.append((fa, fb) if len(rel) == 2 else (fa, fb, rel[2] + tb - ta))
+    return QuotientDissection(new, trace)
 
 
 def reference_glue_ear(D, g, p):

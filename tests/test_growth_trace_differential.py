@@ -5,7 +5,9 @@
 ``growth_coefficient`` reads s_1 = tr M from two diagonal climbs, skips
 the finite-width scan when |s_1| > 2 and takes s_k from the recurrence;
 ``check_positivity`` scans rows 1..n alone when s_1 > 2.  Both must give
-the oracle's answer, the oracle's ValueError included.  The cycles are
+the oracle's answer, the oracle's ValueError included.  ``growth_coefficients``
+gives s_1..s_k in one pass and must stop where the per-k calls first
+raise.  The cycles are
 every cycle of length n <= 4 over a small alphabet, the inputs of the
 golden ``growth`` cases, and the cycles that ``verify positivity-sweep
 --seed 13`` checks.
@@ -20,7 +22,9 @@ import random
 import pytest
 
 import artifact.cli
-from artifact import FriezeTable, check_positivity, growth_coefficient
+from artifact import (FriezeTable, check_positivity, dispatch,
+                      growth_coefficient, growth_coefficients)
+from artifact import frieze as frieze_module
 from artifact.cli import _SUITES, parse_quiddity_text
 from artifact.frieze import quiddity_new
 from artifact.ring import sign_of
@@ -106,6 +110,58 @@ def test_growth_matches_table_on_golden_inputs():
         names.append(name)
     assert "growth-octagon-period2-finite-after-s1" in names
     assert "growth-hyperbolic-negative-trace" in names
+
+
+def _prefix(Q, k):
+    """The outcomes of growth_by_table for 1..k, up to the first error."""
+    G, out = FriezeTable(Q), []
+    for j in range(1, k + 1):
+        out.append(_outcome(growth_by_table, G, j))
+        if isinstance(out[-1], tuple):
+            break
+    return out
+
+
+def _one_pass(Q, k):
+    out = []
+    try:
+        out.extend(growth_coefficients(FriezeTable(Q), k))
+    except ValueError as exc:
+        out.append(("ValueError", str(exc)))
+    return out
+
+
+def test_one_pass_stops_where_the_table_does():
+    cycles = [(Q, 5) for Q in SWEEP] + [
+        (Q, k) for _name, Q, k in _golden_growth_inputs() if k >= 1]
+    errors = 0
+    for Q, k in cycles:
+        want = _prefix(Q, k)
+        assert _one_pass(Q, k) == want, Q
+        # an error after some coefficients, as on the octagon, is seen
+        errors += len(want) > 1 and isinstance(want[-1], tuple)
+    assert errors
+
+
+def test_growth_verb_decides_the_trace_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return sign_of(x)
+
+    monkeypatch.setattr(frieze_module, "sign_of", counting)
+    path = tmp_path / "cycle.txt"
+    # a hyperbolic annulus and a punctured disc, whose s_1 = 2 needs both
+    # comparisons and the finite-width scan
+    for text, decided in (("[3,3,4] [3] [3,3,4,4]", 1), ("[4,4] [4]", 2)):
+        path.write_text(text + "\n")
+        out = io.StringIO()
+        assert dispatch(["growth", str(path), "--k", "6"], out) == 0
+        assert out.getvalue().count("s_") == 6
+        # |s_1| <= 2 is decided once for all six coefficients
+        assert len(calls) == decided, text
+        calls.clear()
 
 
 def test_growth_k_below_one_raises_as_table():

@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from artifact import (BudgetExceeded, FriezeTable, dissection_power,
-                      enumerate_matchings, growth_coefficient,
-                      growth_via_annulus_weight, matching_sum,
-                      parse_dissection_text, quiddity_of, weigh_matching)
+from artifact import (BudgetExceeded, FriezeTable, classify_realizability,
+                      dissection_power, enumerate_matchings, glue,
+                      growth_coefficient, growth_via_annulus_weight,
+                      matching_sum, parse_dissection_text, quiddity_new,
+                      quiddity_of, weigh_matching)
 from artifact.cli import random_quotient_cycle, random_witness
 from golden.record import HERE
 
@@ -112,6 +113,22 @@ def test_random_witnesses_all_modes():
         modes = MODES if cls.kind != "polygon" else ("local", "traditional")
         n = cls.witness.surface.n
         assert check_dissection(cls.witness, modes,
+                                starts=[rng.randrange(n)]) >= 2
+
+
+@pytest.mark.parametrize("core", [[(3, 3)], [(4, 4), (4,)]])
+def test_ear_glued_discs_all_modes(core):
+    # random witnesses are nearly all annuli, so discs come from ears glued
+    # onto the disc cores
+    rng = random.Random(repr(core))
+    for _ in range(4):
+        Q = quiddity_new(core)
+        for _ in range(rng.randint(1, 4)):
+            Q = glue(Q, rng.choice((3, 4, 5)), rng.randint(1, Q.n))
+        cls = classify_realizability(Q)
+        assert cls.kind == "punctured_disc"
+        n = cls.witness.surface.n
+        assert check_dissection(cls.witness, MODES,
                                 starts=[rng.randrange(n)]) >= 2
 
 
