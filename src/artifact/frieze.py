@@ -18,43 +18,67 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import index
 from typing import Optional
 
 from .ring import FixedMultiplier, RingElem, make_context, sign_of
 
 
 def _as_multiset(a):
-    t = tuple(sorted(int(p) for p in a))
+    t = tuple(sorted(map(int, a)))
     if not t:
         raise ValueError("empty multiset in quiddity cycle")
-    if any(p < 3 for p in t):
+    if t[0] < 3:
         raise ValueError("multiset entries must be >= 3")
     return t
+
+
+def _sizes(A):
+    """The frozenset of the entries of the multisets A."""
+    return frozenset(chain.from_iterable(A))
+
+
+def _with(a, p):
+    """The sorted tuple a with one more p."""
+    k = bisect_right(a, p)
+    return a[:k] + (p,) + a[k:]
 
 
 class QuiddityCycle:
     """Cyclic sequence of multisets with derived ring entries.
 
-    ``A`` is stored as a tuple of sorted tuples; ``entries[i - 1]`` is the
-    derived value m_{i-1,i+1} for the 1-based position i, summed on first
-    read (classification never reads it).
+    ``A`` is stored as a tuple of sorted int tuples and ``sizes`` as the
+    frozenset of their entries; ``entries[i - 1]`` is the derived value
+    m_{i-1,i+1} for the 1-based position i, summed on first read
+    (classification never reads it).
+
+    The constructor checks its input.  A cycle derived from a checked one
+    (``rotated``, ``glue``, ``cut``) is built by ``_trusted`` without the
+    check.
     """
 
     def __init__(self, A, context=None):
-        self.A = tuple(_as_multiset(a) for a in A)
-        self.n = len(self.A)
-        if self.n < 1:
+        A = tuple(_as_multiset(a) for a in A)
+        if not A:
             raise ValueError("quiddity cycle must have period >= 1")
-        sizes = set()
-        for a in self.A:
-            sizes.update(a)
+        sizes = _sizes(A)
         if context is None:
             context = make_context(sizes)
         else:
             for p in sizes:
                 if context.L % p != 0:
                     raise ValueError("context does not cover size %d" % p)
-        self.context = context
+        self.A, self.n, self.sizes, self.context = A, len(A), sizes, context
+
+    @classmethod
+    def _trusted(cls, A, sizes, context):
+        """A cycle from multisets already in checked form: A a nonempty
+        tuple of sorted int tuples with entries >= 3, sizes the frozenset
+        of those entries and context a ring covering them."""
+        Q = cls.__new__(cls)
+        Q.A, Q.n, Q.sizes, Q.context = A, len(A), sizes, context
+        return Q
 
     @cached_property
     def entries(self):
@@ -64,7 +88,8 @@ class QuiddityCycle:
     def rotated(self, r):
         """The same cycle started r positions later (position 1+r first)."""
         r %= self.n
-        return QuiddityCycle(self.A[r:] + self.A[:r], self.context)
+        return QuiddityCycle._trusted(self.A[r:] + self.A[:r], self.sizes,
+                                      self.context)
 
     def __eq__(self, other):
         return isinstance(other, QuiddityCycle) and self.A == other.A
@@ -253,16 +278,18 @@ def cut(Q, i, p):
 
     i is 1-based; the interval may wrap.  Requires n >= p-1; the n = p-2
     all-lambda_p cycle has no cut.  The child keeps the original cyclic
-    order, starting from the first surviving position.
+    order, starting from the first surviving position, and the context.
     """
-    A = [list(a) for a in Q.A]
-    _cut_in_place(A, (i - 1) % Q.n, p)
-    return QuiddityCycle(A, Q.context)
+    L = list(Q.A)
+    _cut_in_place(L, (i - 1) % Q.n, p)
+    A = tuple(L)
+    # the cut may remove the last p
+    return QuiddityCycle._trusted(A, _sizes(A), Q.context)
 
 
 def _cut_in_place(L, first, p):
     """The cut of ``cut`` at the 0-based ``first``, done in place on the
-    list L of multisets, each a sorted list; L is left as it was when the
+    list L of multisets, each a sorted tuple; L is left as it was when the
     cut is refused with ValueError.  Returns the step (g, p, r) of
     ``surface.glue_ears`` that glues the ear back onto a witness of the
     child: insert it after the left flank, v_g of the child, then relabel
@@ -276,10 +303,10 @@ def _cut_in_place(L, first, p):
     if n < p - 1:
         raise ValueError("period too small to cut a %d-ear" % p)
     end = first + p - 2          # the interval is first..end-1 mod n
-    if any(L[pos % n] != [p] for pos in range(first, end)):
+    if any(L[pos % n] != (p,) for pos in range(first, end)):
         raise ValueError("interval is not a constant {%d} run" % p)
     left, right = (first - 1) % n, end % n
-    # the last copies of p go, so a flank [3,...,3,4] loses a 3 in O(log n)
+    # the last copies of p go; a flank [3,...,3,4] finds its 3s in O(log n)
     for k, copies in ((left, 1), (right, 1 + (left == right))):
         j = bisect_right(L[k], p)
         if j < copies or L[k][j - copies] != p:
@@ -289,7 +316,8 @@ def _cut_in_place(L, first, p):
             raise ValueError(
                 "flanking multiset exhausted; cut would create an invalid entry")
     for k in (left, right):
-        del L[k][bisect_right(L[k], p) - 1]
+        j = bisect_right(L[k], p) - 1
+        L[k] = L[k][:j] + L[k][j + 1:]
     if end > n:                  # the run crosses the head
         head = end - n
         del L[first:]
@@ -302,21 +330,20 @@ def _cut_in_place(L, first, p):
 
 def glue(Q, p, i):
     """p-glue between positions i and i+1 (1-based): add lambda_p at i,
-    insert p-2 singleton {p} entries, add lambda_p at the new i+(p-1)."""
+    insert p-2 singleton {p} entries, add lambda_p at the new i+(p-1).
+    The child keeps the context when it covers p; it costs O(n) copying."""
     if p < 3:
         raise ValueError("p must be >= 3")
     n = Q.n
     if not 1 <= i <= n:
         raise ValueError("glue position out of range")
-    A = [list(a) for a in Q.A]
-    j = i % n  # 0-based position of the old i+1
-    A[i - 1] = sorted(A[i - 1] + [p])
-    A[j] = sorted(A[j] + [p])
-    ins = [(p,)] * (p - 2)
-    out = [tuple(a) for a in A]
-    new = out[:i] + ins + out[i:]
-    ctx = Q.context if Q.context.L % p == 0 else None
-    return QuiddityCycle(new, ctx)
+    p, A = index(p), list(Q.A)
+    A[i - 1] = _with(A[i - 1], p)
+    A[i % n] = _with(A[i % n], p)    # the old i+1; i itself when n = 1
+    A[i:i] = ((p,),) * (p - 2)
+    sizes = Q.sizes | {p}
+    ctx = Q.context if Q.context.L % p == 0 else make_context(sizes)
+    return QuiddityCycle._trusted(tuple(A), sizes, ctx)
 
 
 def singleton_runs(Q):

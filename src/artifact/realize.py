@@ -17,7 +17,7 @@ from .ring import sign_of
 from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
                      realizability_test, is_skeletal_quiddity,
                      _realizability_verdict, _runs_from, _meets,
-                     _cut_in_place)
+                     _cut_in_place, _sizes)
 from .surface import (Arc, annulus, punctured_disc, polygon,
                       build_dissection, make_quotient, glue_ears,
                       _corner_multisets)
@@ -282,7 +282,7 @@ def _reduce(A):
     [(start, p)], the ``glue_ears`` step undoing each cut, in cut order,
     and the failure reason (None when the cycle left passes the test)."""
     reason = _realizability_verdict(A).reason
-    L, trace, steps = [list(a) for a in A], [], []
+    L, trace, steps = list(A), [], []
     multi = sum(len(a) > 1 for a in A)   # 0 and passing: constant
     scan = 0
     while reason is None and multi:
@@ -322,7 +322,7 @@ def _reduce(A):
                 scan = min(scan, start)
     if reason is None and not multi and L[0][0] != len(L):
         reason = "constant_core_length"
-    return (tuple(map(tuple, L)) if trace else A), trace, steps, reason
+    return (tuple(L) if trace else A), trace, steps, reason
 
 
 def classify_realizability(Q):
@@ -339,7 +339,7 @@ def _classify(Q):
     if reason is not None:
         return (Classification("unrealizable", reason=reason, cut_trace=trace),
                 None, steps)
-    core = QuiddityCycle(A, Q.context) if steps else Q
+    core = QuiddityCycle._trusted(A, _sizes(A), Q.context) if steps else Q
     result = _classify_core(core)
     result.cut_trace = trace
     if steps:

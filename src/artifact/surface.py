@@ -619,8 +619,10 @@ def _corner_multisets(D, boundary="outer"):
 
 def quiddity_of(D, boundary="outer"):
     """Derived quiddity cycle, with the multisets of ``_corner_multisets``."""
-    from .frieze import QuiddityCycle
-    return QuiddityCycle(_corner_multisets(D, boundary))
+    from .frieze import QuiddityCycle, _sizes
+    A = _corner_multisets(D, boundary)   # face sizes >= 3, no empty A_i
+    sizes = _sizes(A)
+    return QuiddityCycle._trusted(A, sizes, make_context(sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from artifact import (FriezeTable, classify_realizability, format_dissection,
-                      growth_coefficient, polygon, quiddity_new, quiddity_of,
+                      glue, growth_coefficient, polygon, quiddity_new, quiddity_of,
                       quotient_realize, skeletal_realize, sign_of,
                       valid_pchoices, witness_nonuniqueness_probe)
 
@@ -155,17 +155,13 @@ def test_quotient_roundtrip_random(rng):
 def _three_ear_cycle(n, at_tail=False):
     """The annulus core [3,3,4] [3] [3,3,4,4] with 3-ears glued at
     random.Random(1) positions up to period n, or each between positions
-    n and 1 ``at_tail``: ``glue(Q, 3, i)`` done on plain lists, which
-    avoids recomputing ring entries per ear."""
+    n and 1 ``at_tail``."""
     import random
     rng = random.Random(1)
-    A = [[3, 3, 4], [3], [3, 3, 4, 4]]
-    while len(A) < n:
-        i = len(A) if at_tail else rng.randint(1, len(A))
-        A[i - 1].append(3)
-        A[i % len(A)].append(3)
-        A.insert(i, [3])
-    return quiddity_new(A)
+    Q = quiddity_new([(3, 3, 4), (3,), (3, 3, 4, 4)])
+    while Q.n < n:
+        Q = glue(Q, 3, Q.n if at_tail else rng.randint(1, Q.n))
+    return Q
 
 
 def test_many_cuts_classify_from_the_cli(tmp_path):
