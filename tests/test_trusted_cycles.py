@@ -4,8 +4,8 @@ A ``QuiddityCycle`` built from outside input checks every multiset; the
 children of ``glue``, ``cut`` and ``rotated``, the core of a classification
 and the cycle ``quiddity_of`` reads off a dissection are built from checked
 multisets without that check.  Each must be the cycle that the checking
-constructor builds from the same multisets: the same sorted int tuples,
-the same size set and the very same ring context.  The glue reference is
+constructor builds from the same multisets: the same sorted int tuples
+and the very same ring context.  The glue reference is
 the list glue that built its child through the constructor.
 """
 
@@ -37,7 +37,6 @@ def reference_glue(Q, p, i):
 def assert_checked_form(child, want):
     assert child.A == want.A
     assert child.n == want.n
-    assert type(child.sizes) is frozenset and child.sizes == want.sizes
     assert child.context is want.context
     assert all(type(p) is int for a in child.A for p in a)
 
@@ -48,7 +47,7 @@ def seeded_cycles(rng, count):
         Q = quiddity_new(CORES[k % len(CORES)])
         if k % 3 == 2:
             # a parent on a ring larger than its sizes need
-            Q = QuiddityCycle(Q.A, make_context(Q.sizes | {5, 6}))
+            Q = QuiddityCycle(Q.A, make_context(frieze._sizes(Q.A) | {5, 6}))
         for _ in range(rng.randint(0, 3)):
             Q = reference_glue(Q, rng.choice((3, 4, 5)), rng.randint(1, Q.n))
         yield Q
@@ -80,20 +79,19 @@ def test_glue_cut_and_rotation_children_are_checked_cycles():
 def test_a_glue_off_the_context_takes_the_ring_of_the_sizes():
     Q = quiddity_new([(3, 4), (4,), (3, 4)])           # L = 12
     child = glue(Q, 5, 2)
-    assert child.sizes == {3, 4, 5}
     assert child.context is make_context({3, 4, 5}) is not Q.context
-    # a covering parent context is kept, with the child's own sizes
+    # a covering parent context is kept
     wide = QuiddityCycle(Q.A, make_context({3, 4, 5, 6}))
     child = glue(wide, 5, 2)
-    assert child.sizes == {3, 4, 5} and child.context is wide.context
+    assert child.context is wide.context
     assert_checked_form(child, reference_glue(wide, 5, 2))
 
 
 def test_a_cut_that_removes_the_last_size_keeps_the_context():
     Q = glue(quiddity_new([(3, 3)] * 3), 5, 1)
-    assert Q.sizes == {3, 5}
+    assert Q.context is make_context({3, 5})
     child = cut(Q, 2, 5)
-    assert child.A == ((3, 3),) * 3 and child.sizes == {3}
+    assert child.A == ((3, 3),) * 3
     assert_checked_form(child, QuiddityCycle(child.A, Q.context))
 
 
