@@ -55,7 +55,7 @@ def parse_quiddity_text(line):
         for tok in body.split(","):
             stripped = tok.strip()
             at = pos + tok.index(stripped) if stripped else pos
-            if not stripped.isdigit():
+            if not (stripped.isascii() and stripped.isdigit()):
                 raise ValueError("offset %d: expected an integer" % at)
             p = int(stripped)
             if p < 3:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -317,6 +318,11 @@ class FixedMultiplier:
                                range(0, d * w, w))
         cols, bias, half, mask, shifts = self._packed[w]
         out = sum(map(operator.mul, x, cols), bias)
+        if w == 64:
+            # flipping bit 63 of each biased digit leaves it in two's
+            # complement, so the digits are read as signed words at once
+            raw = (out ^ bias).to_bytes(8 * len(x), sys.byteorder)
+            return tuple(map(operator.sub, memoryview(raw).cast("q"), y))
         return tuple([(out >> s & mask) - half - c for s, c in zip(shifts, y)])
 
 
@@ -554,24 +560,31 @@ def sign_of(a):
         ctx._refine_enclosure_once()
 
 
+@lru_cache(maxsize=None)
+def _term_templates(d):
+    """Per power k < d: the templates of a term with coefficient above 1 and
+    below -1, and the terms of the coefficients 1 and -1."""
+    out = []
+    for k in range(d):
+        m = ("*m" if k == 1 else "*m^%d" % k) if k else ""
+        unit = m[1:] or "1"
+        out.append(("+ %d" + m, "- %d" + m, {1: "+ " + unit, -1: "- " + unit}))
+    return tuple(out)
+
+
 def format_elem(a, approx=True):
     """Textual form: integer polynomial in m = 2cos(pi/L), with a decimal
-    hint, e.g. ``3 + 3*m : 7.2426``.  The exact part is authoritative."""
-    terms = []
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        elif k == 1:
-            body = "%s*m" % abs(c) if abs(c) != 1 else "m"
-        else:
-            body = ("%s*m^%d" % (abs(c), k)) if abs(c) != 1 else ("m^%d" % k)
-        if not terms:
-            terms.append(("-" if c < 0 else "") + body)
-        else:
-            terms.append(("- " if c < 0 else "+ ") + body)
-    exact = " ".join(terms) if terms else "0"
+    hint, e.g. ``3 + 3*m : 7.24264``.  The exact part is authoritative."""
+    coeffs = a.coeffs
+    templates = _term_templates(len(coeffs))
+    terms = [pos % c if c > 1 else neg % -c if c < -1 else unit[c]
+             for (pos, neg, unit), c in zip(templates, coeffs) if c]
+    if terms:
+        exact = " ".join(terms)
+        # the first term carries its sign without a space: "-3*m", "m"
+        exact = exact[2:] if exact[0] == "+" else "-" + exact[2:]
+    else:
+        exact = "0"
     if not approx:
         return exact
     return "%s : %.6g" % (exact, a.approx())

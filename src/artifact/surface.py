@@ -811,10 +811,11 @@ def parse_dissection_text(text):
             continue
         parts = line.split()
         head, args = parts[0], parts[1:]
-        try:
-            nums = [int(x) for x in args]
-        except ValueError:
+        # ASCII -?[0-9]+ only: int() also takes "+3", "1_2" and other digits
+        if not all(x.isascii() and x.removeprefix("-").isdigit()
+                   for x in args):
             raise ValueError("line %d: non-integer argument" % lineno)
+        nums = [int(x) for x in args]
         # glue and unknown heads are neither headers nor arcs of the table
         kind, arity, usage = _DIRECTIVES.get(head, ("", None, None))
         if kind is None:

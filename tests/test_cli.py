@@ -169,6 +169,23 @@ def test_parse_quiddity_text_errors():
         parse_quiddity_text("3 4")
 
 
+# quiddity sizes are ASCII [0-9]+ and dissection arguments ASCII -?[0-9]+:
+# not other Unicode digits, nor the signs and underscores int() admits
+@pytest.mark.parametrize("verb, text, err", [
+    ("classify", "[٣] [3] [3]", "offset 1: expected an integer"),
+    ("classify", "[3²]", "offset 1: expected an integer"),
+    ("classify", "[3] [+3] [3]", "offset 5: expected an integer"),
+    ("gen", "[3] [3_0]", "offset 5: expected an integer"),
+    ("render", "polygon 1_2\n", "line 1: non-integer argument"),
+    ("render", "polygon +6\n", "line 1: non-integer argument"),
+    ("render", "polygon ٦\n", "line 1: non-integer argument"),
+    ("render", "polygon 6\ndiag 1 --3\n", "line 2: non-integer argument"),
+])
+def test_only_ascii_integers_are_read(qfile, capsys, verb, text, err):
+    assert run([verb, qfile(text)]) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % err
+
+
 # sizes of any magnitude: parsing builds the ring of degree phi(2L)/2, L the
 # lcm of the sizes, and refuses a degree above the cap before building it
 TOKENS = st.one_of(

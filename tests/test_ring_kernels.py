@@ -6,9 +6,9 @@ and the sign read from a ``Fraction`` interval evaluation on a bisected
 ``Fraction`` enclosure of mu.  Both Kronecker and schoolbook products are
 checked in every context, whichever of the two the context selects.  The
 fixed-multiplier kernel of the frieze recurrence is checked against q x - y
-through the general product, and ``FriezeTable.entry``, which climbs a
-diagonal and fills it back down with that kernel, against the diagonal walk
-it replaced.
+through the general product at one-word and multi-word digit widths, and
+``FriezeTable.entry``, which climbs a diagonal and fills it back down with
+that kernel, against the diagonal walk it replaced.
 """
 
 import math
@@ -268,6 +268,8 @@ def test_fixed_multiplier_matches_the_general_product(L):
                       extremal_coeffs(rng, d, top + 2)):
                 want = q * RingElem(ctx, x) - RingElem(ctx, y)
                 assert M.times_minus(x, y) == want.coeffs, (sizes, x, y)
+        # both unpacks ran: signed 64-bit words, and the shift/mask loop
+        assert 64 in M._packed and max(M._packed) > 64, sorted(M._packed)
 
 
 class DiagonalWalk:
