@@ -101,9 +101,12 @@ def _cmd_gen(args, out):
     depth = args.depth
     ncols = 2 * Q.n
     rows = [["0"] * ncols, ["1"] * ncols]
+    text = {}    # coefficients -> cell: each distinct value formatted once
     for t in range(1, depth + 1):
-        # two periods of the row, each cell formatted once
-        rows.append([format_elem(e) for e in F.row(t)] * 2)
+        # two periods of the row
+        rows.append([text.get(e.coeffs) or
+                     text.setdefault(e.coeffs, format_elem(e))
+                     for e in F.row(t)] * 2)
     width = max(len(c) for r in rows for c in r) + 2
     for r, cells in enumerate(rows):
         indent = " " * ((r % 2) * (width // 2))

@@ -111,61 +111,61 @@ def format_quiddity(q):
 class FriezeTable:
     """Lazily computed frieze pattern determined by a quiddity cycle.
 
-    Entries are memoized on (i mod n, j - i); m_{i+n,j+n} = m_{i,j}.  A miss
-    on m_{i,j} climbs its diagonal from i to the first two known entries
-    m_{k,j}, m_{k+1,j} (at the latest m_{j-1,j} = 1 and m_{j,j} = 0) and
-    fills back down to i, storing every entry it computes.  The fill runs
-    on coefficient tuples, with the fixed-multiplier kernel of the quiddity
-    entry m_{k,k+2}, built once per distinct multiset.  The table also
-    remembers how far it has scanned for a finite width.
+    The table is stored as whole rows: ``_rows[d][i]`` is m_{i,i+d} for one
+    period, i = 0..n-1, and m_{i+n,j+n} = m_{i,j}.  Rows 0 and 1 hold the
+    zeros and ones; row d is filled in one pass from rows d-1 and d-2 by
+    m_{i,i+d} = m_{i,i+2} m_{i+1,i+d} - m_{i+2,i+d}, on coefficient tuples,
+    with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, built
+    once per distinct multiset.  The table also remembers how far it has
+    scanned for a finite width.
     """
 
     def __init__(self, quiddity):
         self.quiddity = quiddity
-        self.n = quiddity.n
+        self.n = n = quiddity.n
         self.context = ctx = quiddity.context
-        self._memo = {}
-        mults = {a: FixedMultiplier(ctx, a) for a in set(quiddity.A)}
-        self._mults = [mults[a] for a in quiddity.A]
-        self._trivial = (ctx.zero().coeffs, ctx.one().coeffs)
+        kernels = {a: FixedMultiplier(ctx, a).times_minus
+                   for a in set(quiddity.A)}
+        self._kernels = [kernels[a] for a in quiddity.A]
+        self._rows = [[ctx.zero()] * n, [ctx.one()] * n]
         self._scanned = 0        # widths below this were ruled out ...
         self._width = None       # ... or this one was found
 
-    def _known(self, k, j):
-        """The coefficients of m_{k,j} if known, else None."""
-        if j - k < 2:
-            return self._trivial[j - k]
-        hit = self._memo.get((k % self.n, j - k))
-        return None if hit is None else hit.coeffs
+    def _row(self, d):
+        """The stored row d (d >= 0), filling the rows up to it in order."""
+        rows, ctx, r = self._rows, self.context, 2 % self.n
+        while len(rows) <= d:
+            # m_{i+1,i+d} is row d-1 rotated by 1, m_{i+2,i+d} row d-2 by 2
+            x, y = rows[-1], rows[-2]
+            rows.append([RingElem(ctx, f(a.coeffs, b.coeffs)) for f, a, b
+                         in zip(self._kernels, x[1:] + x[:1], y[r:] + y[:r])])
+        return rows[d]
 
     def entry(self, i, j):
-        """m_{i,j} for j >= i, by the recurrence
-        m_{i,j} = m_{i,i+2} m_{i+1,j} - m_{i+2,j}."""
+        """m_{i,j} for j >= i, from the rows up to j - i."""
         if j < i:
             raise ValueError("entry requires j >= i")
-        d = j - i
-        if d == 0:
-            return self.context.zero()
-        if d == 1:
-            return self.context.one()
-        memo, n = self._memo, self.n
-        hit = memo.get((i % n, d))
-        if hit is not None:
-            return hit
-        k, x, y = i, None, self._known(i + 1, j)
-        while x is None or y is None:
-            k += 1
-            x, y = y, self._known(k + 1, j)
-        # x = m_{k,j}, y = m_{k+1,j}; row k multiplies by m_{k,k+2}, the
-        # quiddity entry at position k+1
-        for k in range(k - 1, i - 1, -1):
-            x, y = self._mults[k % n].times_minus(x, y), x
-            hit = memo[(k % n, j - k)] = RingElem(self.context, x)
-        return hit
+        return self._row(j - i)[i % self.n]
 
     def row(self, t):
         """Nontrivial row t (t >= 1): entries m_{i, i+t+1} for one period."""
-        return [self.entry(i, i + t + 1) for i in range(self.n)]
+        return list(self._row(t + 1))
+
+    def trace(self):
+        """s_1 = m_{0,n+1} - m_{1,n}, the trace of the period's transfer
+        matrix, by two diagonal climbs that store nothing: O(n)."""
+        return self._climb(0, self.n + 1) - self._climb(1, self.n)
+
+    def _climb(self, i, j):
+        """m_{i,j} (j >= i) up its diagonal from m_{j-1,j} = 1, m_{j,j} = 0."""
+        zero, one = self._rows[0][0], self._rows[1][0]
+        if i == j:
+            return zero
+        kernels, n = self._kernels, self.n
+        x, y = one.coeffs, zero.coeffs
+        for k in range(j - 2, i - 1, -1):
+            x, y = kernels[k % n](x, y), x
+        return RingElem(self.context, x)
 
     def finite_width(self, limit):
         """The first w < limit with row w+1 all ones and row w+2 all zeros
@@ -174,8 +174,8 @@ class FriezeTable:
         one = self.context.one()
         while self._width is None and self._scanned < limit:
             w, self._scanned = self._scanned, self._scanned + 1
-            if all(self.entry(i, i + w + 2) == one for i in range(self.n)) and \
-               all(self.entry(i, i + w + 3).is_zero() for i in range(self.n)):
+            if all(e == one for e in self.row(w + 1)) and \
+               all(e.is_zero() for e in self.row(w + 2)):
                 self._width = w
         return None if self._width is None or self._width >= limit \
             else self._width
@@ -185,8 +185,8 @@ def _first_nonpositive(F, depth):
     """The first (i, j), row by row over rows 1..depth, whose entry is not
     positive, or None."""
     for t in range(1, depth + 1):
-        for i in range(F.n):
-            if sign_of(F.entry(i, i + t + 1)) <= 0:
+        for i, e in enumerate(F.row(t)):
+            if sign_of(e) <= 0:
                 return (i, i + t + 1)
     return None
 
@@ -201,9 +201,9 @@ def growth_coefficients(F, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # s_1 = tr M by two diagonal climbs; |s_1| > 2: no power of M, nor of
-    # the minimal-period matrix that M is a power of, is -I: infinite
-    s1, two = F.entry(0, F.n + 1) - F.entry(1, F.n), F.context.from_int(2)
+    # |s_1| > 2: no power of M, nor of the minimal-period matrix that M is
+    # a power of, is -I: infinite
+    s1, two = F.trace(), F.context.from_int(2)
     bounded = sign_of(s1 - two) <= 0 <= sign_of(s1 + two)
     s_prev, s = two, s1
     for j in range(1, k + 1):
@@ -239,7 +239,7 @@ def check_positivity(F, depth):
     of a finite frieze are scanned.
     """
     n, two = F.n, F.context.from_int(2)
-    s1_vs_2 = sign_of(F.entry(0, n + 1) - F.entry(1, n) - two)
+    s1_vs_2 = sign_of(F.trace() - two)
     if depth >= n and s1_vs_2 > 0:
         width, depth = None, n
     else:

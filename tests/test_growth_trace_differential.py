@@ -164,6 +164,17 @@ def test_growth_verb_decides_the_trace_once(monkeypatch, tmp_path):
         calls.clear()
 
 
+def test_trace_fills_no_row():
+    # s_1 by entry would fill n + 1 rows of n cells, O(n^2) for n = 120
+    with open(os.path.join(GOLDEN, "inputs", "annulus_ears_n120.txt")) as fh:
+        Q = parse_quiddity_text(fh.read())
+    F, two = FriezeTable(Q), Q.context.from_int(2)
+    s1 = growth_coefficient(F, 1)
+    assert sign_of(s1 - two) > 0 or sign_of(s1 + two) < 0
+    assert len(F._rows) == 2
+    assert s1 == F.entry(0, Q.n + 1) - F.entry(1, Q.n)
+
+
 def test_growth_k_below_one_raises_as_table():
     Q = quiddity_new([(3, 3), (3,), (3, 3, 4, 4)])
     for k in (0, -1):

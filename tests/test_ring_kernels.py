@@ -7,8 +7,8 @@ and the sign read from a ``Fraction`` interval evaluation on a bisected
 checked in every context, whichever of the two the context selects.  The
 fixed-multiplier kernel of the frieze recurrence is checked against q x - y
 through the general product at one-word and multi-word digit widths, and
-``FriezeTable.entry``, which climbs a diagonal and fills it back down with
-that kernel, against the diagonal walk it replaced.
+``FriezeTable``, which fills whole rows with that kernel, against a walk
+down each diagonal.
 """
 
 import math
@@ -273,9 +273,9 @@ def test_fixed_multiplier_matches_the_general_product(L):
 
 
 class DiagonalWalk:
-    """The frieze table as it was computed before the climb: a miss on
-    m_{i,j} walks the whole diagonal ending at j from m_{j-1,j} down to i,
-    probing every memo key and multiplying ring elements."""
+    """The frieze table computed one cell at a time: a miss on m_{i,j}
+    walks the whole diagonal ending at j from m_{j-1,j} down to i, probing
+    every memo key and multiplying ring elements."""
 
     def __init__(self, Q):
         self.Q, self.n, self.memo = Q, Q.n, {}
@@ -317,9 +317,12 @@ def test_entry_in_any_access_order_matches_the_diagonal_walk(A, data):
         cells = [(i, t + 1) for t in range(1, 4) for i in range(n)] + cells
     for i, d in cells:
         assert F.entry(i, i + d) == oracle.entry(i, i + d), (i, i + d)
-    # every entry the table stored is the oracle's value
-    for (i, d), v in F._memo.items():
-        assert v == oracle.entry(i, i + d)
+    assert F.trace() == oracle.entry(0, n + 1) - oracle.entry(1, n)
+    # every stored row is the oracle's, the trivial rows 0 and 1 included
+    for d, row in enumerate(F._rows):
+        assert len(row) == n
+        for i, v in enumerate(row):
+            assert v == oracle.entry(i, i + d), (i, i + d)
 
 
 # ---------------------------------------------------------------------------
