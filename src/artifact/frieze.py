@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
 from typing import Optional
@@ -116,8 +117,7 @@ class FriezeTable:
     zeros and ones; row d is filled in one pass from rows d-1 and d-2 by
     m_{i,i+d} = m_{i,i+2} m_{i+1,i+d} - m_{i+2,i+d}, on coefficient tuples,
     with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, built
-    once per distinct multiset.  The table also remembers how far it has
-    scanned for a finite width.
+    once per distinct multiset.
     """
 
     def __init__(self, quiddity):
@@ -128,8 +128,6 @@ class FriezeTable:
                    for a in set(quiddity.A)}
         self._kernels = [kernels[a] for a in quiddity.A]
         self._rows = [[ctx.zero()] * n, [ctx.one()] * n]
-        self._scanned = 0        # widths below this were ruled out ...
-        self._width = None       # ... or this one was found
 
     def _row(self, d):
         """The stored row d (d >= 0), filling the rows up to it in order."""
@@ -153,8 +151,17 @@ class FriezeTable:
 
     def trace(self):
         """s_1 = m_{0,n+1} - m_{1,n}, the trace of the period's transfer
-        matrix, by two diagonal climbs that store nothing: O(n)."""
-        return self._climb(0, self.n + 1) - self._climb(1, self.n)
+        matrix M_n, computed once per table."""
+        return self._s1
+
+    @cached_property
+    def _s1(self):
+        return self._trace(self.n)
+
+    def _trace(self, g):
+        """tr M_g = m_{0,g+1} - m_{1,g}, M_g the transfer matrix of the
+        first g positions, by two diagonal climbs that store nothing: O(g)."""
+        return self._climb(0, g + 1) - self._climb(1, g)
 
     def _climb(self, i, j):
         """m_{i,j} (j >= i) up its diagonal from m_{j-1,j} = 1, m_{j,j} = 0."""
@@ -167,18 +174,44 @@ class FriezeTable:
             x, y = kernels[k % n](x, y), x
         return RingElem(self.context, x)
 
-    def finite_width(self, limit):
-        """The first w < limit with row w+1 all ones and row w+2 all zeros
-        (the width of a finite frieze), or None.  Rows scanned by an earlier
-        call are not scanned again."""
-        one = self.context.one()
-        while self._width is None and self._scanned < limit:
-            w, self._scanned = self._scanned, self._scanned + 1
-            if all(e == one for e in self.row(w + 1)) and \
-               all(e.is_zero() for e in self.row(w + 2)):
-                self._width = w
-        return None if self._width is None or self._width >= limit \
-            else self._width
+    @cached_property
+    def width(self):
+        """The width w of a finite frieze (row w+1 all ones, row w+2 all
+        zeros), or None for an infinite one: w = kg - 3 for the least k
+        with M_g^k = -I, g the minimal period of the quiddity entries.
+        Then tr M_g = 2cos(r pi) with r in ``_angles`` and r's numerator
+        odd, k is r's denominator, and at r = 1 (trace -2) M_g must be -I.
+        M_n is a power of M_g, so an s_1 outside ``_angles`` proves the
+        frieze infinite at once (README, "Finite friezes").
+        """
+        angles = _angles(self.context._tables)
+        if self._s1.coeffs not in angles:
+            return None
+        E, n = [e.coeffs for e in self.quiddity.entries], self.n
+        g = next(g for g in range(1, n + 1)
+                 if n % g == 0 and E[g:] + E[:g] == E)
+        r = angles.get((self._s1 if g == n else self._trace(g)).coeffs)
+        if r is None or r.numerator % 2 == 0:
+            return None
+        if r == 1 and not (self._climb(0, g).is_zero()
+                           and self._climb(1, g + 1).is_zero()):
+            return None
+        return r.denominator * g - 3
+
+
+@lru_cache(maxsize=None)
+def _angles(tables):
+    """r for each trace 2cos(r pi) of a matrix of finite order over the
+    ring of ``tables``, keyed by its coefficients: 2cos(k pi/L) for k =
+    0..L, and the rational traces 0, 1 and -1 (r = 1/2, 1/3, 2/3); the
+    field holds no other (README, "Finite friezes")."""
+    L = tables.L
+    angles = {tables.two_cos(k): Fraction(k, L) for k in range(L + 1)}
+    zeros = (0,) * (tables.degree - 1)
+    for t, r in ((0, Fraction(1, 2)), (1, Fraction(1, 3)),
+                 (-1, Fraction(2, 3))):
+        angles.setdefault((t,) + zeros, r)
+    return angles
 
 
 def _first_nonpositive(F, depth):
@@ -194,22 +227,16 @@ def _first_nonpositive(F, depth):
 def growth_coefficients(F, k):
     """Growth coefficients s_1, ..., s_k, s_j = tr M^j = m_{0,jn+1} -
     m_{1,jn}, of an infinite frieze, by s_0 = 2 and s_{j+1} = s_1 s_j -
-    s_{j-1}.
-
-    With |s_1| > 2 no row is scanned; with |s_1| <= 2 a finite width
-    within jn + 2 rows raises ValueError in place of s_j.
+    s_{j-1}.  A finite width below jn + 2 raises ValueError in place of s_j.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # |s_1| > 2: no power of M, nor of the minimal-period matrix that M is
-    # a power of, is -I: infinite
-    s1, two = F.trace(), F.context.from_int(2)
-    bounded = sign_of(s1 - two) <= 0 <= sign_of(s1 + two)
-    s_prev, s = two, s1
+    s1, width = F.trace(), F.width
+    s_prev, s = F.context.from_int(2), s1
     for j in range(1, k + 1):
         if j > 1:
             s_prev, s = s, s1 * s - s_prev
-        if bounded and F.finite_width(j * F.n + 2) is not None:
+        if width is not None and width < j * F.n + 2:
             raise ValueError("growth coefficient undefined for finite friezes")
         yield s
 
@@ -233,18 +260,18 @@ def check_positivity(F, depth):
     provably_positive when every quiddity entry is >= 2, or when the first n
     nontrivial rows are positive and s_1 >= 2 (Progression-Formula
     criterion); nonpositive_found when a scan to `depth` hits a violation;
-    otherwise inconclusive.  With s_1 > 2 and depth >= n only rows 1..n are
-    scanned.  Otherwise the finite width is sought within depth rows (at
-    least n + 2 when depth >= n), then rows 1..depth or the interior rows
-    of a finite frieze are scanned.
+    otherwise inconclusive.  A finite frieze is scanned over its interior
+    rows, when its width lies below `depth` (below max(depth, n + 2) when
+    depth >= n); an infinite one with s_1 >= 2 and depth >= n over rows
+    1..n, any other over rows 1..depth.
     """
     n, two = F.n, F.context.from_int(2)
     s1_vs_2 = sign_of(F.trace() - two)
-    if depth >= n and s1_vs_2 > 0:
-        width, depth = None, n
-    else:
-        width = F.finite_width(depth if depth < n else max(depth, n + 2))
-    finite = width is not None
+    width = F.width
+    finite = width is not None and width < (depth if depth < n
+                                            else max(depth, n + 2))
+    if not finite and depth >= n and s1_vs_2 >= 0:
+        depth = n
     # a finite frieze is scanned over its interior rows only
     scan_depth = width if finite else depth
     violation = _first_nonpositive(F, scan_depth)

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .ring import sign_of
-from .frieze import (QuiddityCycle, FriezeTable, growth_coefficient,
-                     realizability_test, is_skeletal_quiddity,
-                     _realizability_verdict, _runs_from, _meets,
-                     _cut_in_place)
+from .frieze import (QuiddityCycle, FriezeTable, realizability_test,
+                     is_skeletal_quiddity, _realizability_verdict, _runs_from,
+                     _meets, _cut_in_place)
 from .surface import (Arc, annulus, punctured_disc, polygon,
                       build_dissection, make_quotient, glue_ears,
                       _corner_multisets)
@@ -98,65 +96,35 @@ def _construct(Q, pchoice):
     assignment.  Returns ("disc", D) or ("annulus", D)."""
     n = Q.n
     disc, anchors, gaps, gap_p = _layout(Q, pchoice)
-    l = len(anchors)
     if disc:
         arcs = [Arc("bridge_disc", a + 1) for a in anchors]
         return "disc", build_dissection(punctured_disc(n), arcs)
 
-    # annulus: lay out inner-boundary nodes left to right, one period
-    nodes = []            # ("arc", anchor 0-based) or ("fill",)
-    merges = set()        # adjacent node index pairs carrying one vertex
-    wrap_merge = False
-    for j in range(l):
-        a = anchors[j]
-        p_left = gap_p[(j - 1) % l]
-        p_right = gap_p[j]
+    # annulus: one period of the inner boundary, left to right; an arc
+    # ends at height y, each further size r of its anchor climbs r - 2 and
+    # a gap of length g with size p climbs p - 2 - g, so the climb of the
+    # whole period is the number m of inner vertices
+    y, ends = 0, []
+    for j, a in enumerate(anchors):
         R = list(Q.A[a])
         try:
-            R.remove(p_left)
-            R.remove(p_right)
+            R.remove(gap_p[j - 1])
+            R.remove(gap_p[j])
         except ValueError:
             raise ValueError("gap-size assignment incompatible with the "
                              "multiset at position %d" % (a + 1))
-        R.sort()
-        nodes.append(("arc", a))
+        ends.append((a, y))
         for r in R:
-            nodes.extend([("fill",)] * (r - 3))
-            nodes.append(("arc", a))
-        # the gap towards the next anchor
-        p, g = gap_p[j], gaps[j]
-        if p - 2 < g:
+            y += r - 2
+            ends.append((a, y))
+        if gap_p[j] - 2 < gaps[j]:
             raise ValueError("cycle is not skeletal at position %d" % (a + 1))
-        if p - 2 == g:
-            if j == l - 1:
-                wrap_merge = True
-            else:
-                merges.add(len(nodes) - 1)   # merge with the next node
-        else:
-            nodes.extend([("fill",)] * (p - 3 - g))
-
-    ys = []
-    y = 0
-    for k, _node in enumerate(nodes):
-        if k > 0 and (k - 1) not in merges:
-            y += 1
-        elif k == 0:
-            y = 0
-        ys.append(y)
-    m = ys[-1] if wrap_merge else ys[-1] + 1
+        y += gap_p[j] - 2 - gaps[j]
+    m = y
     if m < 1:
         raise ValueError("inner boundary degenerates to no vertices; "
                          "the cycle has no annulus realization of this shape")
-
-    arcs = []
-    for (kind, *rest), y in zip(nodes, ys):
-        if kind != "arc":
-            continue
-        a = rest[0]
-        if y < m:
-            arcs.append(Arc("bridge", a + 1, y + 1, 0))
-        else:
-            arcs.append(Arc("bridge", a + 1, 1, 1))
+    arcs = [Arc("bridge", a + 1, y % m + 1, y // m) for a, y in ends]
     return "annulus", build_dissection(annulus(n, m), arcs)
 
 
@@ -368,9 +336,7 @@ def _classify_core(Q):
         return Classification("quotient_annulus", n=s.n, m=s.m, witness=QD)
 
     # cross-check the disc/annulus split against the first growth coefficient
-    s1 = growth_coefficient(FriezeTable(Q), 1)
-    two = Q.context.from_int(2)
-    is_disc_by_growth = sign_of(s1 - two) == 0
+    is_disc_by_growth = FriezeTable(Q).trace() == Q.context.from_int(2)
     if is_disc_by_growth != (kind == "disc"):
         raise AssertionError("surface shape disagrees with the growth "
                              "coefficient criterion")

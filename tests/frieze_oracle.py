@@ -1,6 +1,7 @@
-"""The table-scan forms of ``frieze.growth_coefficient`` and
-``frieze.check_positivity``, kept as the oracles of the trace-based code.
+"""The table-scan forms of ``FriezeTable.width``, ``frieze.growth_coefficient``
+and ``frieze.check_positivity``, kept as the oracles of the trace-based code.
 
+``scan_width`` seeks a finite width row by row below a limit.
 ``growth_by_table`` scans for a finite width to kn + 2 rows and reads s_k
 off the frieze table for every i = 0..n-1, asserting it is constant.
 ``positivity_by_table`` scans the finite width and the rows to ``depth``
@@ -13,6 +14,17 @@ from artifact.frieze import PositivityVerdict, _first_nonpositive
 from artifact.ring import sign_of
 
 
+def scan_width(F, limit):
+    """The first w < limit with row w+1 all ones and row w+2 all zeros (the
+    width of a finite frieze), or None."""
+    one = F.context.one()
+    for w in range(limit):
+        if all(e == one for e in F.row(w + 1)) and \
+           all(e.is_zero() for e in F.row(w + 2)):
+            return w
+    return None
+
+
 def growth_by_table(F, k):
     """Growth coefficient s_k = m_{0,kn+1} - m_{1,kn} of an infinite frieze.
 
@@ -21,7 +33,7 @@ def growth_by_table(F, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     n = F.n
-    if F.finite_width(k * n + 2) is not None:
+    if scan_width(F, k * n + 2) is not None:
         raise ValueError("growth coefficient undefined for finite friezes")
     s = F.entry(0, k * n + 1) - F.entry(1, k * n)
     for i in range(1, n):
@@ -35,7 +47,7 @@ def positivity_by_table(F, depth):
     """Positivity verdict from a scan of the finite width and of rows
     1..depth (1..width for a finite frieze), then s_1 >= 2."""
     n = F.n
-    width = F.finite_width(depth)
+    width = scan_width(F, depth)
     finite = width is not None
     scan_depth = width if finite else depth
     violation = _first_nonpositive(F, scan_depth)

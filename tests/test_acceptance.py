@@ -51,7 +51,7 @@ def test_criterion_1_figure_frieze_tables():
     assert cyc_eq(F.row(3), ints(c, 7, 1, 3, 3, 7, 1, 3, 3))
     assert cyc_eq(F.row(4), ints(c, 3, 1, 4, 4, 2, 2, 2, 5))
     assert cyc_eq(F.row(5), ints(c, 2, 2, 1, 5, 1, 3, 1, 3))
-    assert F.finite_width(11) == 5
+    assert F.width == 5
 
     # triangulated annulus, quiddity (1,4,4), five printed rows
     Q = quiddity_new([[3], [3] * 4, [3] * 4])
@@ -75,7 +75,7 @@ def test_criterion_1_figure_frieze_tables():
                   [e(0, 1), e(1, 1), e(1, 1), e(0, 1), e(1, 1), e(1, 1)])
     assert cyc_eq(F.row(3),
                   [e(0, 1), e(1, 1), e(1, 0), e(2, 1), e(1, 0), e(1, 1)])
-    assert F.finite_width(9) == 3
+    assert F.width == 3
 
     # 4-angulated octagon: rows containing 5*sqrt(2) and 7
     D = build_dissection(polygon(8), [Arc("diag", 1, 4), Arc("diag", 5, 8)])
@@ -85,7 +85,7 @@ def test_criterion_1_figure_frieze_tables():
     g = lambda a, b: c.from_int(a) + c.from_int(b) * c.lam(4)
     assert cyc_eq(F.row(3), [g(0, 5), g(0, 1), g(0, 1), g(0, 5)] * 2)
     assert cyc_eq(F.row(4), [g(3, 0), g(1, 0), g(3, 0), g(7, 0)] * 2)
-    assert F.finite_width(11) == 5
+    assert F.width == 5
 
 
 # ---------------------------------------------------------------------------

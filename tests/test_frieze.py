@@ -27,7 +27,7 @@ def test_octagon_triangulation_width_5_table():
     assert cyc_eq(F.row(4), ints(c, 3, 1, 4, 4, 2, 2, 2, 5))
     # the last nontrivial row is the quiddity row again, shifted
     assert cyc_eq(F.row(5), ints(c, 2, 2, 1, 5, 1, 3, 1, 3))
-    assert F.finite_width(11) == 5
+    assert F.width == 5
     assert check_positivity(F, 12).kind == "provably_positive"
 
 
@@ -41,7 +41,7 @@ def test_triangulated_annulus_infinite_table():
     assert cyc_eq(F.row(3), ints(c, 8, 11, 11))
     assert cyc_eq(F.row(4), ints(c, 29, 8, 29))
     assert cyc_eq(F.row(5), ints(c, 105, 21, 21))
-    assert F.finite_width(20) is None
+    assert F.width is None
     assert growth_coefficient(F, 1) == c.from_int(7)
 
 
@@ -57,7 +57,7 @@ def test_dissected_hexagon_width_3_table(hexagon_13_35):
                   [e(0, 1), e(1, 1), e(1, 1), e(0, 1), e(1, 1), e(1, 1)])
     assert cyc_eq(F.row(3),
                   [e(0, 1), e(1, 1), e(1, 0), e(2, 1), e(1, 0), e(1, 1)])
-    assert F.finite_width(9) == 3
+    assert F.width == 3
 
 
 def test_4angulated_octagon_width_5_table():
@@ -77,7 +77,7 @@ def test_4angulated_octagon_width_5_table():
     assert cyc_eq(F.row(3), r_mid)        # contains 5*sqrt(2)
     assert cyc_eq(F.row(4), r_even)       # contains 7
     assert cyc_eq(F.row(5), r_odd)
-    assert F.finite_width(11) == 5
+    assert F.width == 5
 
 
 def test_annulus_334_table_and_growth(annulus_334):
@@ -156,32 +156,6 @@ def test_growth_undefined_for_finite():
     F = FriezeTable(quiddity_of(D))
     with pytest.raises(ValueError):
         growth_coefficient(F, 1)
-
-
-def scan_width(F, limit):
-    """The finite-width scan from w = 0, remembering nothing."""
-    one = F.context.one()
-    for w in range(limit):
-        if all(F.entry(i, i + w + 2) == one for i in range(F.n)) and \
-           all(F.entry(i, i + w + 3).is_zero() for i in range(F.n)):
-            return w
-    return None
-
-
-def test_finite_width_remembers_its_scan(rng):
-    for A in ([[3] * a for a in (1, 3, 1, 3, 2, 2, 1, 5)],     # width 5
-              [[3], [3] * 4, [3] * 4],                          # infinite
-              [(3, 4), (3,), (3, 3, 4), (3,), (3, 4), (4,)]):   # width 3
-        F = FriezeTable(quiddity_new(A))
-        oracle = FriezeTable(quiddity_new(A))
-        for limit in [rng.randint(0, 3 * F.n + 4) for _ in range(12)]:
-            assert F.finite_width(limit) == scan_width(oracle, limit)
-            # a scan within the rows already scanned reads no entry
-            reads = []
-            F.entry = lambda i, j: reads.append((i, j))
-            F.finite_width(min(limit, F._scanned))
-            assert reads == []
-            del F.entry
 
 
 def test_cut_and_glue_are_inverse(rng):

@@ -2,13 +2,13 @@
 ``check_positivity`` against their table-scan oracles in
 ``frieze_oracle``.
 
-``growth_coefficient`` reads s_1 = tr M from two diagonal climbs, skips
-the finite-width scan when |s_1| > 2 and takes s_k from the recurrence;
-``check_positivity`` scans rows 1..n alone when s_1 > 2.  Both must give
-the oracle's answer, the oracle's ValueError included.  ``growth_coefficients``
-gives s_1..s_k in one pass and must stop where the per-k calls first
-raise.  The cycles are
-every cycle of length n <= 4 over a small alphabet, the inputs of the
+``growth_coefficient`` reads s_1 = tr M from two diagonal climbs and the
+finite width from ``FriezeTable.width``, and takes s_k from the recurrence;
+``check_positivity`` scans rows 1..n alone for an infinite frieze with
+s_1 >= 2.  Both must give the oracle's answer, the oracle's ValueError
+included.  ``growth_coefficients`` gives s_1..s_k in one pass and must stop
+where the per-k calls first raise.  The cycles are every cycle of length
+n <= 4 over a small alphabet, the inputs of the
 golden ``growth`` cases, and the cycles that ``verify positivity-sweep
 --seed 13`` checks.
 """
@@ -29,7 +29,7 @@ from artifact.cli import _SUITES, parse_quiddity_text
 from artifact.frieze import quiddity_new
 from artifact.ring import sign_of
 
-from frieze_oracle import growth_by_table, positivity_by_table
+from frieze_oracle import growth_by_table, positivity_by_table, scan_width
 
 ALPHABET = [(3,), (4,), (5,), (3, 3), (3, 4)]
 
@@ -93,7 +93,7 @@ def assert_positivity_matches(Q, depths):
             # the table scan's own fault: its finite width to depth missed
             # a width that its s_1 found within n + 2 rows
             assert n <= depth <= n + 1, (Q, depth)
-            assert FriezeTable(Q).finite_width(n + 2) is not None, Q
+            assert scan_width(FriezeTable(Q), n + 2) is not None, Q
             want = positivity_by_table(FriezeTable(Q), 3 * n)
         assert got == want, (Q, depth)
 
@@ -152,16 +152,14 @@ def test_growth_verb_decides_the_trace_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(frieze_module, "sign_of", counting)
     path = tmp_path / "cycle.txt"
-    # a hyperbolic annulus and a punctured disc, whose s_1 = 2 needs both
-    # comparisons and the finite-width scan
-    for text, decided in (("[3,3,4] [3] [3,3,4,4]", 1), ("[4,4] [4]", 2)):
+    # a hyperbolic annulus and a punctured disc, whose s_1 = 2 is found in
+    # the table of finite-order traces: the width needs no sign
+    for text in ("[3,3,4] [3] [3,3,4,4]", "[4,4] [4]"):
         path.write_text(text + "\n")
         out = io.StringIO()
         assert dispatch(["growth", str(path), "--k", "6"], out) == 0
         assert out.getvalue().count("s_") == 6
-        # |s_1| <= 2 is decided once for all six coefficients
-        assert len(calls) == decided, text
-        calls.clear()
+        assert calls == [], text
 
 
 def test_trace_fills_no_row():
@@ -173,6 +171,16 @@ def test_trace_fills_no_row():
     assert sign_of(s1 - two) > 0 or sign_of(s1 + two) < 0
     assert len(F._rows) == 2
     assert s1 == F.entry(0, Q.n + 1) - F.entry(1, Q.n)
+
+
+def test_disc_width_fills_no_row():
+    # s_1 = 2: a width scan to 2n + 2 rows would fill 242 rows of 120 cells
+    with open(os.path.join(GOLDEN, "inputs", "disc_ears_n120.txt")) as fh:
+        Q = parse_quiddity_text(fh.read())
+    F = FriezeTable(Q)
+    assert len(list(growth_coefficients(F, 2))) == 2
+    assert F.trace() == Q.context.from_int(2)
+    assert len(F._rows) == 2
 
 
 def test_growth_k_below_one_raises_as_table():
@@ -195,7 +203,7 @@ def test_sweep_covers_both_trace_paths():
         F = FriezeTable(Q)
         s1 = F.entry(0, Q.n + 1) - F.entry(1, Q.n)
         two = Q.context.from_int(2)
-        finite = F.finite_width(3 * Q.n) is not None
+        finite = scan_width(F, 3 * Q.n) is not None
         kinds.add("s1>2" if sign_of(s1 - two) > 0 else
                   "s1<-2" if sign_of(s1 + two) < 0 else
                   "finite" if finite else "elliptic")
@@ -208,7 +216,7 @@ def test_full_turn_finite_friezes_match_table():
     turned = []
     for Q in SWEEP:
         F, two = FriezeTable(Q), Q.context.from_int(2)
-        if F.finite_width(3 * Q.n) is None:
+        if scan_width(F, 3 * Q.n) is None:
             continue
         for t in range(2, 12 // Q.n + 1):
             if F.entry(0, t * Q.n + 1) - F.entry(1, t * Q.n) == two:
@@ -257,7 +265,7 @@ def test_positivity_near_period_depth_never_raises():
     finite = 0
     for Q in SWEEP:
         deep = check_positivity(FriezeTable(Q), 3 * Q.n)
-        width = FriezeTable(Q).finite_width(Q.n + 2)
+        width = scan_width(FriezeTable(Q), Q.n + 2)
         for depth in (Q.n, Q.n + 1):
             v = check_positivity(FriezeTable(Q), depth)
             if width is not None:
