@@ -98,20 +98,17 @@ def _cmd_gen(args, out):
         raise ValueError("depth must be >= 0")
     Q = _load_quiddity(args.input)
     F = FriezeTable(Q)
-    depth = args.depth
-    ncols = 2 * Q.n
-    rows = [["0"] * ncols, ["1"] * ncols]
+    rows = [["0"] * Q.n, ["1"] * Q.n]
     text = {}    # coefficients -> cell: each distinct value formatted once
-    for t in range(1, depth + 1):
-        # two periods of the row
+    for t in range(1, args.depth + 1):
         rows.append([text.get(e.coeffs) or
                      text.setdefault(e.coeffs, format_elem(e))
-                     for e in F.row(t)] * 2)
+                     for e in F.row(t)])
     width = max(len(c) for r in rows for c in r) + 2
     for r, cells in enumerate(rows):
         indent = " " * ((r % 2) * (width // 2))
-        out.write(indent + "".join(c.ljust(width) for c in cells).rstrip()
-                  + "\n")
+        period = "".join(c.ljust(width) for c in cells)   # printed twice
+        out.write(indent + (period * 2).rstrip() + "\n")
     return EXIT_OK
 
 

@@ -117,7 +117,9 @@ class FriezeTable:
     zeros and ones; row d is filled in one pass from rows d-1 and d-2 by
     m_{i,i+d} = m_{i,i+2} m_{i+1,i+d} - m_{i+2,i+d}, on coefficient tuples,
     with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, built
-    once per distinct multiset.
+    once per distinct multiset.  Once a filled row K is all zeros after a
+    row of ones, every later row d is row d-K negated, with no kernel call
+    (README, "Finite friezes").
     """
 
     def __init__(self, quiddity):
@@ -128,15 +130,21 @@ class FriezeTable:
                    for a in set(quiddity.A)}
         self._kernels = [kernels[a] for a in quiddity.A]
         self._rows = [[ctx.zero()] * n, [ctx.one()] * n]
+        self._closing = 0    # K, the row of zeros after the ones, once seen
 
     def _row(self, d):
         """The stored row d (d >= 0), filling the rows up to it in order."""
         rows, ctx, r = self._rows, self.context, 2 % self.n
         while len(rows) <= d:
+            if self._closing:
+                rows.append([-e for e in rows[len(rows) - self._closing]])
+                continue
             # m_{i+1,i+d} is row d-1 rotated by 1, m_{i+2,i+d} row d-2 by 2
             x, y = rows[-1], rows[-2]
             rows.append([RingElem(ctx, f(a.coeffs, b.coeffs)) for f, a, b
                          in zip(self._kernels, x[1:] + x[:1], y[r:] + y[:r])])
+            if rows[-1] == rows[0] and x == rows[1]:
+                self._closing = len(rows) - 1
         return rows[d]
 
     def entry(self, i, j):
@@ -257,14 +265,19 @@ class PositivityVerdict:
 def check_positivity(F, depth):
     """Positivity verdict for the frieze.
 
-    provably_positive when every quiddity entry is >= 2, or when the first n
-    nontrivial rows are positive and s_1 >= 2 (Progression-Formula
-    criterion); nonpositive_found when a scan to `depth` hits a violation;
-    otherwise inconclusive.  A finite frieze is scanned over its interior
-    rows, when its width lies below `depth` (below max(depth, n + 2) when
-    depth >= n); an infinite one with s_1 >= 2 and depth >= n over rows
-    1..n, any other over rows 1..depth.
+    provably_positive when every quiddity entry is >= 2, read off the
+    multisets with no row filled, or when the first n nontrivial rows are
+    positive and s_1 >= 2 (Progression-Formula criterion);
+    nonpositive_found when a scan to `depth` hits a violation; otherwise
+    inconclusive.  A finite frieze is scanned over its interior rows, when
+    its width lies below `depth` (below max(depth, n + 2) when depth >= n);
+    an infinite one with s_1 >= 2 and depth >= n over rows 1..n, any other
+    over rows 1..depth.
     """
+    # lambda_p lies in [1, 2): an entry is >= 2 exactly when its multiset
+    # has two or more sizes, and then every entry of the frieze is positive
+    if all(len(a) >= 2 for a in F.quiddity.A):
+        return PositivityVerdict("provably_positive", reason="entries >= 2")
     n, two = F.n, F.context.from_int(2)
     s1_vs_2 = sign_of(F.trace() - two)
     width = F.width
@@ -275,16 +288,9 @@ def check_positivity(F, depth):
     # a finite frieze is scanned over its interior rows only
     scan_depth = width if finite else depth
     violation = _first_nonpositive(F, scan_depth)
-    crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
-    crit_b = (not finite and scan_depth >= n and violation is None
-              and s1_vs_2 >= 0)
     if violation is not None:
-        if crit_a:
-            raise AssertionError("positivity criterion contradicted by scan")
         return PositivityVerdict("nonpositive_found", witness=violation)
-    if crit_a:
-        return PositivityVerdict("provably_positive", reason="entries >= 2")
-    if crit_b:
+    if not finite and scan_depth >= n and s1_vs_2 >= 0:
         return PositivityVerdict("provably_positive",
                                  reason="first n rows positive and s1 >= 2")
     if finite:

@@ -121,9 +121,6 @@ def _construct(Q, pchoice):
             raise ValueError("cycle is not skeletal at position %d" % (a + 1))
         y += gap_p[j] - 2 - gaps[j]
     m = y
-    if m < 1:
-        raise ValueError("inner boundary degenerates to no vertices; "
-                         "the cycle has no annulus realization of this shape")
     arcs = [Arc("bridge", a + 1, y % m + 1, y // m) for a, y in ends]
     return "annulus", build_dissection(annulus(n, m), arcs)
 

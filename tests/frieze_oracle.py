@@ -1,5 +1,13 @@
 """The table-scan forms of ``FriezeTable.width``, ``frieze.growth_coefficient``
-and ``frieze.check_positivity``, kept as the oracles of the trace-based code.
+and ``frieze.check_positivity``, kept as the oracles of the trace-based code,
+and the kernel-only row fill, the oracle of the sign-flipped rows.
+
+``KernelRows`` is a ``FriezeTable`` that fills every row through the
+multiplier kernels, past a finite frieze's closing row too.
+``positivity_by_scan`` is ``check_positivity`` as it was before the
+entries >= 2 criterion was read off the multisets: it reads s_1 and the
+width and scans the rows first, and raises ``AssertionError`` when that
+scan contradicts the criterion.
 
 ``scan_width`` seeks a finite width row by row below a limit.
 ``growth_by_table`` scans for a finite width to kn + 2 rows and reads s_k
@@ -10,8 +18,25 @@ finite frieze whose width lies in [depth, n + 2), which the scan of
 ``growth_by_table`` finds and the width scan to ``depth`` misses.
 """
 
-from artifact.frieze import PositivityVerdict, _first_nonpositive
-from artifact.ring import sign_of
+import io
+import random
+
+import artifact.cli
+from artifact.frieze import FriezeTable, PositivityVerdict, _first_nonpositive
+from artifact.ring import RingElem, sign_of
+
+
+class KernelRows(FriezeTable):
+    """A frieze table whose every row comes from the recurrence."""
+
+    def _row(self, d):
+        rows, ctx, r = self._rows, self.context, 2 % self.n
+        while len(rows) <= d:
+            # m_{i+1,i+d} is row d-1 rotated by 1, m_{i+2,i+d} row d-2 by 2
+            x, y = rows[-1], rows[-2]
+            rows.append([RingElem(ctx, f(a.coeffs, b.coeffs)) for f, a, b
+                         in zip(self._kernels, x[1:] + x[:1], y[r:] + y[:r])])
+        return rows[d]
 
 
 def scan_width(F, limit):
@@ -70,3 +95,53 @@ def positivity_by_table(F, depth):
         return PositivityVerdict("provably_positive",
                                  reason="finite frieze, all interior rows scanned")
     return PositivityVerdict("inconclusive")
+
+
+def positivity_by_scan(F, depth):
+    """Positivity verdict from s_1, the width and a row scan, with the
+    entries >= 2 criterion checked against the scan."""
+    n, two = F.n, F.context.from_int(2)
+    s1_vs_2 = sign_of(F.trace() - two)
+    width = F.width
+    finite = width is not None and width < (depth if depth < n
+                                            else max(depth, n + 2))
+    if not finite and depth >= n and s1_vs_2 >= 0:
+        depth = n
+    # a finite frieze is scanned over its interior rows only
+    scan_depth = width if finite else depth
+    violation = _first_nonpositive(F, scan_depth)
+    crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
+    crit_b = (not finite and scan_depth >= n and violation is None
+              and s1_vs_2 >= 0)
+    if violation is not None:
+        if crit_a:
+            raise AssertionError("positivity criterion contradicted by scan")
+        return PositivityVerdict("nonpositive_found", witness=violation)
+    if crit_a:
+        return PositivityVerdict("provably_positive", reason="entries >= 2")
+    if crit_b:
+        return PositivityVerdict("provably_positive",
+                                 reason="first n rows positive and s1 >= 2")
+    if finite:
+        return PositivityVerdict("provably_positive",
+                                 reason="finite frieze, all interior rows scanned")
+    return PositivityVerdict("inconclusive")
+
+
+def sweep_cycles(seed, count):
+    """The cycles ``verify positivity-sweep --seed SEED --count COUNT``
+    checks, in order."""
+    seen = []
+
+    def recording(F, depth):
+        seen.append(F.quiddity)
+        return saved(F, depth)
+
+    saved = artifact.cli.check_positivity
+    artifact.cli.check_positivity = recording
+    try:
+        artifact.cli._SUITES["positivity-sweep"](random.Random(seed), count,
+                                                 io.StringIO())
+    finally:
+        artifact.cli.check_positivity = saved
+    return seen

@@ -17,19 +17,18 @@ import io
 import itertools
 import json
 import os
-import random
 
 import pytest
 
-import artifact.cli
 from artifact import (FriezeTable, check_positivity, dispatch,
                       growth_coefficient, growth_coefficients)
 from artifact import frieze as frieze_module
-from artifact.cli import _SUITES, parse_quiddity_text
+from artifact.cli import parse_quiddity_text
 from artifact.frieze import quiddity_new
 from artifact.ring import sign_of
 
-from frieze_oracle import growth_by_table, positivity_by_table, scan_width
+from frieze_oracle import (growth_by_table, positivity_by_table, scan_width,
+                           sweep_cycles)
 
 ALPHABET = [(3,), (4,), (5,), (3, 3), (3, 4)]
 
@@ -48,24 +47,6 @@ def _golden_growth_inputs():
             with open(os.path.join(GOLDEN, argv[1])) as fh:
                 Q = parse_quiddity_text(fh.read())
             yield case["name"], Q, int(argv[argv.index("--k") + 1])
-
-
-def _sweep_cycles():
-    """The cycles ``verify positivity-sweep --seed 13 --count 300`` checks,
-    in order."""
-    seen = []
-
-    def recording(F, depth):
-        seen.append(F.quiddity)
-        return check_positivity(F, depth)
-
-    saved = artifact.cli.check_positivity
-    artifact.cli.check_positivity = recording
-    try:
-        _SUITES["positivity-sweep"](random.Random(13), 300, io.StringIO())
-    finally:
-        artifact.cli.check_positivity = saved
-    return seen
 
 
 def _outcome(f, F, *args):
@@ -230,7 +211,7 @@ def test_full_turn_finite_friezes_match_table():
 
 @pytest.fixture(scope="module")
 def sweep13():
-    return _sweep_cycles()
+    return sweep_cycles(13, 300)
 
 
 def test_growth_matches_table_on_seed13_sweep(sweep13):
