@@ -18,9 +18,9 @@ from .frieze import (FriezeTable, format_quiddity, quiddity_new,
 from .surface import (parse_dissection_text, format_dissection, quiddity_of,
                       dissection_power, chords_cross)
 from .realize import classify_realizability, witness_nonuniqueness_probe
-from .matchings import (enumerate_matchings, weigh_matching, matching_sum,
-                        growth_via_annulus_weight, inner_outer_consistency,
-                        DEFAULT_BUDGET)
+from .matchings import (check_window, enumerate_matchings, weigh_matching,
+                        matching_sum, growth_via_annulus_weight,
+                        inner_outer_consistency, DEFAULT_BUDGET)
 from .tpaths import PolygonGeometry, weighted_tpaths, phi_bijection
 
 EXIT_OK = 0
@@ -172,6 +172,7 @@ def _cmd_matchings(args, out):
     mode = _MODES[args.mode]
     i, j = args.from_, args.to
     if args.list:
+        check_window(D, mode, i, j)
         total = D.context.zero()
         count = 0
         for w in enumerate_matchings(D, i, j, budget=args.budget):

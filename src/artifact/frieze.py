@@ -192,7 +192,7 @@ class FriezeTable:
         M_n is a power of M_g, so an s_1 outside ``_angles`` proves the
         frieze infinite at once (README, "Finite friezes").
         """
-        angles = _angles(self.context._tables)
+        angles = _angles(self.context)
         if self._s1.coeffs not in angles:
             return None
         E, n = [e.coeffs for e in self.quiddity.entries], self.n
@@ -208,14 +208,14 @@ class FriezeTable:
 
 
 @lru_cache(maxsize=None)
-def _angles(tables):
+def _angles(ctx):
     """r for each trace 2cos(r pi) of a matrix of finite order over the
-    ring of ``tables``, keyed by its coefficients: 2cos(k pi/L) for k =
-    0..L, and the rational traces 0, 1 and -1 (r = 1/2, 1/3, 2/3); the
-    field holds no other (README, "Finite friezes")."""
-    L = tables.L
-    angles = {tables.two_cos(k): Fraction(k, L) for k in range(L + 1)}
-    zeros = (0,) * (tables.degree - 1)
+    ring ``ctx``, keyed by its coefficients: 2cos(k pi/L) for k = 0..L,
+    and the rational traces 0, 1 and -1 (r = 1/2, 1/3, 2/3); the field
+    holds no other (README, "Finite friezes")."""
+    L = ctx.L
+    angles = {ctx.two_cos(k): Fraction(k, L) for k in range(L + 1)}
+    zeros = (0,) * (ctx.degree - 1)
     for t, r in ((0, Fraction(1, 2)), (1, Fraction(1, 3)),
                  (-1, Fraction(2, 3))):
         angles.setdefault((t,) + zeros, r)

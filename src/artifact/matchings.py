@@ -118,15 +118,17 @@ def _u(ctx, k, p):
     return chebyshev_u(ctx, k, ctx.lam(p))
 
 
-def _check_mode(W, mode, length):
-    """Raise unless ``mode`` can weigh a matching of ``length`` corners
-    on W."""
+def check_window(W, mode, i, j):
+    """Raise unless j >= i and ``mode`` can weigh the matchings that
+    contribute to m_{i,j} on W, each of j - i - 1 corners."""
+    if j < i:
+        raise ValueError("need j >= i")
     if mode not in ("local", "traditional", "annulus"):
         raise ValueError("unknown weighting mode %r" % mode)
     if mode != "local" and W.is_quotient():
         raise ValueError("mode %r is defined only for ordinary dissections"
                          % mode)
-    if mode == "annulus" and length != W.surface.n:
+    if mode == "annulus" and j - i - 1 != W.surface.n:
         raise ValueError("annulus weighting needs a full-period matching")
 
 
@@ -134,7 +136,7 @@ def weigh_matching(w, mode, D):
     """Weight of one matching: local (run rule, class equality),
     traditional (per lifted face), or annulus (per base face,
     full-period matchings only)."""
-    _check_mode(D, mode, len(w.choice))
+    check_window(D, mode, w.i, w.j)
     ctx, base = D.context, D.base
     if mode == "local":
         total = ctx.one()
@@ -167,11 +169,9 @@ def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET):
     multiset of open faces, which can grow exponentially with it.
     ``budget`` caps the number of matchings, as for the enumeration."""
     ctx = W.context
-    if j < i:
-        raise ValueError("need j >= i")
+    check_window(W, mode, i, j)
     if j == i:
         return ctx.zero()
-    _check_mode(W, mode, j - i - 1)
     lists = _choice_lists(W, i, j)
     if prod(len(c) for c in lists) > budget:
         raise BudgetExceeded("more than %d matchings" % budget)

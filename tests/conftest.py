@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from artifact import (Arc, build_dissection, polygon, quiddity_new,
-                      quiddity_of, parse_dissection_text)
+from artifact import (Arc, build_dissection, classify_realizability, glue,
+                      polygon, quiddity_new, quiddity_of,
+                      parse_dissection_text)
 
 
 def cyc_eq(row, expected):
@@ -25,6 +26,23 @@ def cyc_eq_either(row, expected):
 @pytest.fixture
 def rng():
     return random.Random(20260824)
+
+
+# punctured-disc cores: the one-vertex cycle (2) and the cycle (2r2, r2)
+DISC_CORES = ([(3, 3)], [(4, 4), (4,)])
+
+
+def random_disc(rng):
+    """(Q, classification) of a punctured-disc cycle: one to four seeded
+    3-, 4- or 5-gon ears glued onto a disc core.  ``cli.random_witness``
+    almost never draws a disc, so tests of the disc side take theirs from
+    here."""
+    Q = quiddity_new(rng.choice(DISC_CORES))
+    for _ in range(rng.randint(1, 4)):
+        Q = glue(Q, rng.choice((3, 4, 5)), rng.randint(1, Q.n))
+    cls = classify_realizability(Q)
+    assert cls.kind == "punctured_disc", Q.A
+    return Q, cls
 
 
 # the dissected annulus used for the running matching-weight example:

@@ -23,7 +23,7 @@ from artifact.cli import (_SUITES, random_polygon_dissection, random_quiddity,
                           random_quotient_cycle, random_witness)
 from artifact import is_skeletal_quiddity, realizability_test
 
-from conftest import ANNULUS_334_TEXT, cyc_eq, cyc_eq_either
+from conftest import ANNULUS_334_TEXT, cyc_eq, cyc_eq_either, random_disc
 from frieze_oracle import growth_by_table
 
 
@@ -262,8 +262,11 @@ def test_criterion_6_growth_squared_dissections():
 
 def test_criterion_6_growth_recurrence():
     rng = random.Random(8)
-    for _ in range(100):
-        Q, _cls = random_witness(rng, ("punctured_disc", "annulus"))
+    cases = [random_witness(rng, ("punctured_disc", "annulus"))
+             for _ in range(100)]
+    cases += [random_disc(rng) for _ in range(5)]
+    assert sum(cls.kind == "punctured_disc" for _Q, cls in cases) >= 5
+    for Q, _cls in cases:
         F = FriezeTable(Q)
         s = [Q.context.from_int(2)]
         s += [growth_coefficient(F, k) for k in range(1, 6)]

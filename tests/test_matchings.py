@@ -7,6 +7,7 @@ from artifact import (BudgetExceeded, FriezeTable, enumerate_matchings,
                       growth_coefficient, growth_via_annulus_weight,
                       inner_outer_consistency, matching_sum, quiddity_of,
                       weigh_matching, dissection_power)
+from conftest import random_disc
 
 
 def test_full_period_window_weight_table(annulus_334):
@@ -112,6 +113,11 @@ def test_annulus_mode_restrictions(annulus_334):
         matching_sum(cls.witness, 0, cls.witness.surface.n + 1, "annulus")
     with pytest.raises(ValueError):
         matching_sum(cls.witness, 0, 3, "traditional")
+    # an empty window is refused too, not summed to zero
+    with pytest.raises(ValueError, match="full-period"):
+        matching_sum(annulus_334, 2, 2, "annulus")
+    with pytest.raises(ValueError, match="ordinary dissections"):
+        matching_sum(cls.witness, 2, 2, "traditional")
 
 
 def test_budget_exceeded(annulus_334):
@@ -135,14 +141,19 @@ def test_growth_via_annulus_weight(annulus_334):
 
 def test_growth_weight_random(rng):
     from artifact.cli import random_witness
-    for _ in range(6):
-        Q, cls = random_witness(rng, ("punctured_disc", "annulus"))
+    cases = [random_witness(rng, ("punctured_disc", "annulus"))
+             for _ in range(6)]
+    cases += [random_disc(rng) for _ in range(5)]
+    discs = 0
+    for Q, cls in cases:
         F = FriezeTable(Q)
         try:
             s1 = growth_via_annulus_weight(cls.witness)
         except BudgetExceeded:
             continue
         assert format(s1) == format(growth_coefficient(F, 1))
+        discs += cls.kind == "punctured_disc"
+    assert discs >= 5
 
 
 def test_inner_outer_consistency(annulus_334, rng):

@@ -10,6 +10,7 @@ from artifact import (FriezeTable, classify_realizability, format_dissection,
                       glue, growth_coefficient, polygon, quiddity_new, quiddity_of,
                       quotient_realize, skeletal_realize, sign_of,
                       valid_pchoices, witness_nonuniqueness_probe)
+from conftest import random_disc
 
 
 MULTISET = {"3": (3, 3, 3), "2+r2": (3, 3, 4),
@@ -88,8 +89,11 @@ def test_skeletal_realize_wheel():
 
 def test_disc_iff_growth_two(rng):
     from artifact.cli import random_witness
-    for _ in range(12):
-        Q, cls = random_witness(rng, ("punctured_disc", "annulus"))
+    cases = [random_witness(rng, ("punctured_disc", "annulus"))
+             for _ in range(12)]
+    cases += [random_disc(rng) for _ in range(5)]
+    assert sum(cls.kind == "punctured_disc" for _Q, cls in cases) >= 5
+    for Q, cls in cases:
         s1 = growth_coefficient(FriezeTable(Q), 1)
         is_two = sign_of(s1 - Q.context.from_int(2)) == 0
         assert is_two == (cls.kind == "punctured_disc")

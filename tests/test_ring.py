@@ -89,11 +89,11 @@ def test_sign_of_exact():
 
 
 def test_equality_requires_shared_context():
-    # make_context shares one context per set of sizes; contexts built
-    # directly stay private and never compare equal
+    # make_context shares one context per L; contexts built directly stay
+    # private and never compare equal
     assert make_context([4]) is make_context([4]) is make_context({4})
-    c1 = RingContext([4])
-    c2 = RingContext([4])
+    c1 = RingContext(4)
+    c2 = RingContext(4)
     assert c1.lam(4) == c1.lam(4)
     assert not (c1.lam(4) == c2.lam(4))
 

@@ -23,7 +23,7 @@ from artifact import (FriezeTable, growth_coefficient, make_context,
                       parse_quiddity_text, quiddity_new, sign_of)
 from artifact import ring
 from artifact.ring import (KRONECKER_DEGREE, MAX_DEGREE, FixedMultiplier,
-                           RingContext, RingElem, _tables_for)
+                           RingContext, RingElem)
 
 LEVELS = (3, 4, 5, 6, 7, 11, 12, 15, 20, 60)
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -129,13 +129,13 @@ def extremal_coeffs(rng, d, bits):
     return tuple(s * m for s in signs)
 
 
-def boundary_bits(t):
+def boundary_bits(ctx):
     """Operand bit lengths (ba, bb) whose digit width sits just below, at
     and just above a multiple of 64 bits."""
     out = []
     for target in (64, 128, 320):
         for total in (target - 1, target, target + 1):
-            need = total - t._slack
+            need = total - ctx._slack
             if need >= 2:
                 out.append((need // 2, need - need // 2))
     return out
@@ -154,7 +154,6 @@ def frieze_entries(A, depth):
 @pytest.mark.parametrize("L", LEVELS)
 def test_both_product_kernels_match_the_oracle(L):
     ctx = make_context([L])
-    t = _tables_for(L)
     d = ctx.degree
     rng = random.Random(L)
     pairs = []
@@ -164,24 +163,26 @@ def test_both_product_kernels_match_the_oracle(L):
                           random_coeffs(rng, d, rng.choice([0, 2, bits]))))
         pairs.append((extremal_coeffs(rng, d, max(bits, 1)),
                        extremal_coeffs(rng, d, max(bits, 1))))
-    for ba, bb in boundary_bits(t):
+    for ba, bb in boundary_bits(ctx):
         for _ in range(4):
             pairs.append((extremal_coeffs(rng, d, ba),
                           extremal_coeffs(rng, d, bb)))
     for a, b in pairs:
         want = oracle_mul(ctx.minpoly, a, b)
-        assert t._kronecker(a, b) == want, (a, b)
-        assert t._schoolbook(a, b) == want, (a, b)
+        assert ctx._kronecker(a, b) == want, (a, b)
+        assert ctx._schoolbook(a, b) == want, (a, b)
         assert (RingElem(ctx, a) * RingElem(ctx, b)).coeffs == want
 
 
 def test_kernel_choice_follows_the_degree():
     for L in LEVELS:
-        t = _tables_for(L)
-        want = t._kronecker if t.degree >= KRONECKER_DEGREE else t._schoolbook
-        assert t.mul == want
+        ctx = make_context([L])
+        want = (ctx._kronecker if ctx.degree >= KRONECKER_DEGREE
+                else ctx._schoolbook)
+        assert ctx._mul == want
     # the benchmark contexts lie on both sides of the crossover
-    assert _tables_for(3).degree < KRONECKER_DEGREE <= _tables_for(60).degree
+    assert (make_context([3]).degree < KRONECKER_DEGREE
+            <= make_context([60]).degree)
 
 
 def test_frieze_recurrence_products_match_the_oracle():
@@ -194,14 +195,17 @@ def test_frieze_recurrence_products_match_the_oracle():
             assert (x * y).coeffs == oracle_mul(psi, x.coeffs, y.coeffs)
 
 
-def test_per_level_tables_keep_contexts_apart():
+def test_size_sets_with_one_lcm_share_a_context():
     c1, c2 = make_context([4, 5]), make_context([20])
-    assert c1.L == c2.L == 20 and c1 is not c2
-    assert c1.lam(5).coeffs == c2.lam(5).coeffs
+    assert c1.L == c2.L == 20 and c1 is c2
+    assert c1.lam(5) == c2.lam(5) and c1.lam(4) == c2.lam(4)
+    # contexts of different L never mix
+    c4, c5 = make_context([4]), make_context([5])
+    assert c4 is not c5
     for op in ("__add__", "__sub__", "__mul__"):
         with pytest.raises(ValueError, match="ring context mismatch"):
-            getattr(c1.lam(4), op)(c2.lam(4))
-    assert c1.lam(4) != c2.lam(4)
+            getattr(c4.lam(4), op)(c5.lam(5))
+    assert c4.one() != c5.one()
     # lambda_q are the old Chebyshev-like products mu t_(k-1) - t_(k-2)
     mu = c1.mu()
     prev, cur = c1.from_int(2), mu
@@ -212,8 +216,8 @@ def test_per_level_tables_keep_contexts_apart():
 
 def test_ring_degree_is_capped(monkeypatch):
     assert make_context([255]).degree == MAX_DEGREE
-    # refused before the per-L tables are built
-    monkeypatch.setattr(ring, "_tables_for", None)
+    # refused before the ring of L is built
+    monkeypatch.setattr(ring, "_context_for", None)
     for levels in ([131], [1009], [10007], [16384], [16385], [7, 11, 13],
                    [10 ** 40 + 1]):
         with pytest.raises(ValueError, match="above %d" % MAX_DEGREE):
@@ -341,7 +345,7 @@ def near_zero(ctx, oracle, coeffs, digits):
 @pytest.mark.parametrize("L", LEVELS)
 def test_sign_of_matches_the_fraction_oracle(L):
     # a private context, whose enclosure no earlier test has refined
-    ctx = RingContext([L])
+    ctx = RingContext(L)
     oracle = FractionSign(ctx)
     d = ctx.degree
     rng = random.Random(100 + L)
