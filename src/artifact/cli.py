@@ -383,12 +383,12 @@ def _suite_phi(rng, count, out):
 
 
 def _suite_positivity_sweep(rng, count, out):
-    """Reports the verdicts on quotient cycles, which may be nonpositive;
-    fails on a polygon, disc or annulus witness not provably positive."""
+    """Reports the positivity verdicts on quotient cycles, which may be
+    nonpositive; fails on a realizable witness not provably positive."""
     logged = {}
     for _ in range(count):
         Q, _cls = random_quotient_cycle(rng)
-        verdict = check_positivity(FriezeTable(Q), 3 * Q.n)
+        verdict = check_positivity(FriezeTable(Q))
         logged[verdict.kind] = logged.get(verdict.kind, 0) + 1
     for kind in sorted(logged):
         out.write("  %s: %d\n" % (kind, logged[kind]))
@@ -399,7 +399,7 @@ def _suite_positivity_sweep(rng, count, out):
             kind = cls.kind
         else:
             Q, kind = quiddity_of(random_polygon_dissection(rng)), "polygon"
-        verdict = check_positivity(FriezeTable(Q), 3 * Q.n)
+        verdict = check_positivity(FriezeTable(Q))
         if verdict.kind != "provably_positive":
             fails += 1
             out.write("realizable %s frieze is %s: %s\n"

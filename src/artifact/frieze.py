@@ -6,8 +6,10 @@ generate an (infinite or finite) frieze pattern via the division-free
 recurrence m_{i,j} = m_{i,i+2} m_{i+1,j} - m_{i+2,j}.
 
 The multiset sequence, not the ring values, is the primary input: the
-realizability machinery needs the sets A_i themselves, and decomposing a
-ring element into a sum of lambda_p is not well defined in general.
+realizability machinery needs the sets A_i themselves.  The values would
+determine them: in every ring within MAX_DEGREE, 1 and the lambda_p for
+p | L are linearly independent over Q, so a value is a sum of lambda_p in
+at most one way.
 
 Indices follow the paper: quiddity positions are 1-based and cyclic mod n;
 frieze table indices (i, j) are arbitrary integers with j >= i.
@@ -19,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, cycle, islice
 from operator import index
 from typing import Optional
 
@@ -112,14 +114,20 @@ def format_quiddity(q):
 class FriezeTable:
     """Lazily computed frieze pattern determined by a quiddity cycle.
 
+    Each diagonal solves the discrete Hill equation w_{k+1} = c_k w_k -
+    w_{k-1}, c_k = m_{k,k+2}: m_{i,j} = w_{j-1} for the solution with
+    w_{i-1} = 0 and w_i = 1.  ``_run`` runs that equation forward; the
+    period's transfer matrix ``monodromy`` comes from two runs, and the
+    trace, the width and ``check_positivity`` read them.
+
     The table is stored as whole rows: ``_rows[d][i]`` is m_{i,i+d} for one
     period, i = 0..n-1, and m_{i+n,j+n} = m_{i,j}.  Rows 0 and 1 hold the
     zeros and ones; row d is filled in one pass from rows d-1 and d-2 by
     m_{i,i+d} = m_{i,i+2} m_{i+1,i+d} - m_{i+2,i+d}, on coefficient tuples,
     with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, built
-    once per distinct multiset.  Once a filled row K is all zeros after a
-    row of ones, every later row d is row d-K negated, with no kernel call
-    (README, "Finite friezes").
+    once per distinct multiset.  From a finite frieze's closing row K =
+    width + 3 on, row d is row d-K negated, with no kernel call (README,
+    "Finite friezes").
     """
 
     def __init__(self, quiddity):
@@ -130,21 +138,18 @@ class FriezeTable:
                    for a in set(quiddity.A)}
         self._kernels = [kernels[a] for a in quiddity.A]
         self._rows = [[ctx.zero()] * n, [ctx.one()] * n]
-        self._closing = 0    # K, the row of zeros after the ones, once seen
 
     def _row(self, d):
         """The stored row d (d >= 0), filling the rows up to it in order."""
-        rows, ctx, r = self._rows, self.context, 2 % self.n
+        rows, ctx, r, w = self._rows, self.context, 2 % self.n, self.width
         while len(rows) <= d:
-            if self._closing:
-                rows.append([-e for e in rows[len(rows) - self._closing]])
+            if w is not None and len(rows) >= w + 3:   # from row K = w + 3 on
+                rows.append([-e for e in rows[len(rows) - w - 3]])
                 continue
             # m_{i+1,i+d} is row d-1 rotated by 1, m_{i+2,i+d} row d-2 by 2
             x, y = rows[-1], rows[-2]
             rows.append([RingElem(ctx, f(a.coeffs, b.coeffs)) for f, a, b
                          in zip(self._kernels, x[1:] + x[:1], y[r:] + y[:r])])
-            if rows[-1] == rows[0] and x == rows[1]:
-                self._closing = len(rows) - 1
         return rows[d]
 
     def entry(self, i, j):
@@ -154,33 +159,37 @@ class FriezeTable:
         return self._row(j - i)[i % self.n]
 
     def row(self, t):
-        """Nontrivial row t (t >= 1): entries m_{i, i+t+1} for one period."""
+        """Row t (t >= -1): m_{i,i+t+1} for one period (-1 zeros, 0 ones)."""
+        if t < -1:
+            raise ValueError("row requires t >= -1")
         return list(self._row(t + 1))
 
-    def trace(self):
-        """s_1 = m_{0,n+1} - m_{1,n}, the trace of the period's transfer
-        matrix M_n, computed once per table."""
-        return self._s1
+    def _run(self, x, y):
+        """w_0, w_1, ... (coefficient tuples, no end) of w_{k+1} = c_k w_k -
+        w_{k-1} from w_{-1} = x, w_0 = y; from (0, 1), w_k = m_{0,k+1}."""
+        for f in cycle(self._kernels):
+            yield y
+            x, y = y, f(y, x)
+
+    def _matrix(self, g):
+        """M_g = ((A, B), (C, D)), the transfer matrix of positions 0..g-1:
+        (w_{g-1}, w_g) = M_g (w_{-1}, w_0) for every run, so B = m_{0,g},
+        D = m_{0,g+1}, A = -m_{1,g} and C = -m_{1,g+1}.  O(g)."""
+        ctx = self.context
+        zero, one = ctx.zero().coeffs, ctx.one().coeffs
+        A, C, B, D = (RingElem(ctx, w) for start in ((one, zero), (zero, one))
+                      for w in islice(self._run(*start), g - 1, g + 1))
+        return (A, B), (C, D)
 
     @cached_property
-    def _s1(self):
-        return self._trace(self.n)
+    def monodromy(self):
+        """M_n, the transfer matrix of one period, computed once per table."""
+        return self._matrix(self.n)
 
-    def _trace(self, g):
-        """tr M_g = m_{0,g+1} - m_{1,g}, M_g the transfer matrix of the
-        first g positions, by two diagonal climbs that store nothing: O(g)."""
-        return self._climb(0, g + 1) - self._climb(1, g)
-
-    def _climb(self, i, j):
-        """m_{i,j} (j >= i) up its diagonal from m_{j-1,j} = 1, m_{j,j} = 0."""
-        zero, one = self._rows[0][0], self._rows[1][0]
-        if i == j:
-            return zero
-        kernels, n = self._kernels, self.n
-        x, y = one.coeffs, zero.coeffs
-        for k in range(j - 2, i - 1, -1):
-            x, y = kernels[k % n](x, y), x
-        return RingElem(self.context, x)
+    def trace(self):
+        """s_1 = A + D = m_{0,n+1} - m_{1,n}, the trace of ``monodromy``."""
+        (A, _), (_, D) = self.monodromy
+        return A + D
 
     @cached_property
     def width(self):
@@ -193,16 +202,16 @@ class FriezeTable:
         frieze infinite at once (README, "Finite friezes").
         """
         angles = _angles(self.context)
-        if self._s1.coeffs not in angles:
+        if self.trace().coeffs not in angles:
             return None
         E, n = [e.coeffs for e in self.quiddity.entries], self.n
         g = next(g for g in range(1, n + 1)
                  if n % g == 0 and E[g:] + E[:g] == E)
-        r = angles.get((self._s1 if g == n else self._trace(g)).coeffs)
+        (A, B), (C, D) = self.monodromy if g == n else self._matrix(g)
+        r = angles.get((A + D).coeffs)
         if r is None or r.numerator % 2 == 0:
             return None
-        if r == 1 and not (self._climb(0, g).is_zero()
-                           and self._climb(1, g + 1).is_zero()):
+        if r == 1 and not (B.is_zero() and C.is_zero()):
             return None
         return r.denominator * g - 3
 
@@ -220,16 +229,6 @@ def _angles(ctx):
                  (-1, Fraction(2, 3))):
         angles.setdefault((t,) + zeros, r)
     return angles
-
-
-def _first_nonpositive(F, depth):
-    """The first (i, j), row by row over rows 1..depth, whose entry is not
-    positive, or None."""
-    for t in range(1, depth + 1):
-        for i, e in enumerate(F.row(t)):
-            if sign_of(e) <= 0:
-                return (i, i + t + 1)
-    return None
 
 
 def growth_coefficients(F, k):
@@ -257,46 +256,42 @@ def growth_coefficient(F, k):
 
 @dataclass
 class PositivityVerdict:
-    kind: str                     # "provably_positive" | "nonpositive_found" | "inconclusive"
+    kind: str                     # "provably_positive" | "nonpositive_found"
     witness: Optional[tuple] = None   # (i, j) for nonpositive_found
     reason: Optional[str] = None
 
 
-def check_positivity(F, depth):
-    """Positivity verdict for the frieze.
+def check_positivity(F, depth=None):
+    """Positivity verdict for the frieze, decided for every frieze (README,
+    "Positivity"): provably_positive when every entry m_{i,j} with
+    j - i >= 2 is positive (below the closing row, for a finite frieze),
+    nonpositive_found with the first m_{0,j} <= 0 as witness otherwise.
 
-    provably_positive when every quiddity entry is >= 2, read off the
-    multisets with no row filled, or when the first n nontrivial rows are
-    positive and s_1 >= 2 (Progression-Formula criterion);
-    nonpositive_found when a scan to `depth` hits a violation; otherwise
-    inconclusive.  A finite frieze is scanned over its interior rows, when
-    its width lies below `depth` (below max(depth, n + 2) when depth >= n);
-    an infinite one with s_1 >= 2 and depth >= n over rows 1..n, any other
-    over rows 1..depth.
+    Every multiset with two or more sizes makes every entry >= 2, read off
+    the multisets.  Otherwise diagonal 0 decides, from one forward run that
+    keeps two values: up to m_{0,w+2} for a finite frieze of width w, up to
+    m_{0,n} for an infinite one with s_1 >= 2.  An infinite frieze with
+    s_1 < 2 is nonpositive, and its diagonal 0 meets a nonpositive entry
+    within ceil(pi/theta) + 1 periods, s_1 = 2cos(theta) (within 2 when
+    s_1 <= -2).  ``depth`` is accepted and ignored, so that callers that
+    pass a scan depth, as the benchmark's positivity op does, keep working.
     """
     # lambda_p lies in [1, 2): an entry is >= 2 exactly when its multiset
     # has two or more sizes, and then every entry of the frieze is positive
     if all(len(a) >= 2 for a in F.quiddity.A):
         return PositivityVerdict("provably_positive", reason="entries >= 2")
-    n, two = F.n, F.context.from_int(2)
-    s1_vs_2 = sign_of(F.trace() - two)
-    width = F.width
-    finite = width is not None and width < (depth if depth < n
-                                            else max(depth, n + 2))
-    if not finite and depth >= n and s1_vs_2 >= 0:
-        depth = n
-    # a finite frieze is scanned over its interior rows only
-    scan_depth = width if finite else depth
-    violation = _first_nonpositive(F, scan_depth)
-    if violation is not None:
-        return PositivityVerdict("nonpositive_found", witness=violation)
-    if not finite and scan_depth >= n and s1_vs_2 >= 0:
-        return PositivityVerdict("provably_positive",
-                                 reason="first n rows positive and s1 >= 2")
-    if finite:
-        return PositivityVerdict("provably_positive",
-                                 reason="finite frieze, all interior rows scanned")
-    return PositivityVerdict("inconclusive")
+    ctx, width = F.context, F.width
+    if width is not None:
+        last, reason = width + 2, "finite, diagonal 0 positive"
+    elif sign_of(F.trace() - ctx.from_int(2)) >= 0:
+        last, reason = F.n, "s1 >= 2, diagonal 0 positive"
+    else:
+        last = reason = None     # s1 < 2: the run meets a nonpositive entry
+    run = F._run(ctx.zero().coeffs, ctx.one().coeffs)
+    for j, w in enumerate(islice(run, last), 1):     # w = m_{0,j}
+        if sign_of(RingElem(ctx, w)) <= 0:
+            return PositivityVerdict("nonpositive_found", witness=(0, j))
+    return PositivityVerdict("provably_positive", reason=reason)
 
 
 # ---------------------------------------------------------------------------

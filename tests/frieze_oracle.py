@@ -1,28 +1,27 @@
 """The table-scan forms of ``FriezeTable.width``, ``frieze.growth_coefficient``
-and ``frieze.check_positivity``, kept as the oracles of the trace-based code,
-and the kernel-only row fill, the oracle of the sign-flipped rows.
+and ``frieze.check_positivity``, kept as the oracles of the transfer-matrix
+code, and the kernel-only row fill, the oracle of the sign-flipped rows.
 
 ``KernelRows`` is a ``FriezeTable`` that fills every row through the
 multiplier kernels, past a finite frieze's closing row too.
-``positivity_by_scan`` is ``check_positivity`` as it was before the
-entries >= 2 criterion was read off the multisets: it reads s_1 and the
-width and scans the rows first, and raises ``AssertionError`` when that
-scan contradicts the criterion.
 
 ``scan_width`` seeks a finite width row by row below a limit.
 ``growth_by_table`` scans for a finite width to kn + 2 rows and reads s_k
 off the frieze table for every i = 0..n-1, asserting it is constant.
 ``positivity_by_table`` scans the finite width and the rows to ``depth``
-before it reads s_1; at n <= depth <= n + 1 it raises ``ValueError`` on a
-finite frieze whose width lies in [depth, n + 2), which the scan of
-``growth_by_table`` finds and the width scan to ``depth`` misses.
+(``first_nonpositive``) before it reads s_1 from the table; it reads no
+trace or width of ``FriezeTable``.  It can answer ``inconclusive``, and at
+n <= depth <= n + 1 it raises ``ValueError`` on a finite frieze whose width
+lies in [depth, n + 2), which the scan of ``growth_by_table`` finds and the
+width scan to ``depth`` misses.  ``assert_positivity_decided`` holds
+``check_positivity`` to it at depth 12n.
 """
 
 import io
 import random
 
 import artifact.cli
-from artifact.frieze import FriezeTable, PositivityVerdict, _first_nonpositive
+from artifact.frieze import FriezeTable, PositivityVerdict, check_positivity
 from artifact.ring import RingElem, sign_of
 
 
@@ -37,6 +36,16 @@ class KernelRows(FriezeTable):
             rows.append([RingElem(ctx, f(a.coeffs, b.coeffs)) for f, a, b
                          in zip(self._kernels, x[1:] + x[:1], y[r:] + y[:r])])
         return rows[d]
+
+
+def first_nonpositive(F, depth):
+    """The first (i, j), row by row over rows 1..depth, whose entry is not
+    positive, or None."""
+    for t in range(1, depth + 1):
+        for i, e in enumerate(F.row(t)):
+            if sign_of(e) <= 0:
+                return (i, i + t + 1)
+    return None
 
 
 def scan_width(F, limit):
@@ -75,7 +84,7 @@ def positivity_by_table(F, depth):
     width = scan_width(F, depth)
     finite = width is not None
     scan_depth = width if finite else depth
-    violation = _first_nonpositive(F, scan_depth)
+    violation = first_nonpositive(F, scan_depth)
     two = F.context.from_int(2)
     crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
     crit_b = False
@@ -97,35 +106,27 @@ def positivity_by_table(F, depth):
     return PositivityVerdict("inconclusive")
 
 
-def positivity_by_scan(F, depth):
-    """Positivity verdict from s_1, the width and a row scan, with the
-    entries >= 2 criterion checked against the scan."""
-    n, two = F.n, F.context.from_int(2)
-    s1_vs_2 = sign_of(F.trace() - two)
-    width = F.width
-    finite = width is not None and width < (depth if depth < n
-                                            else max(depth, n + 2))
-    if not finite and depth >= n and s1_vs_2 >= 0:
-        depth = n
-    # a finite frieze is scanned over its interior rows only
-    scan_depth = width if finite else depth
-    violation = _first_nonpositive(F, scan_depth)
-    crit_a = all(sign_of(q - two) >= 0 for q in F.quiddity.entries)
-    crit_b = (not finite and scan_depth >= n and violation is None
-              and s1_vs_2 >= 0)
-    if violation is not None:
-        if crit_a:
-            raise AssertionError("positivity criterion contradicted by scan")
-        return PositivityVerdict("nonpositive_found", witness=violation)
-    if crit_a:
-        return PositivityVerdict("provably_positive", reason="entries >= 2")
-    if crit_b:
-        return PositivityVerdict("provably_positive",
-                                 reason="first n rows positive and s1 >= 2")
-    if finite:
-        return PositivityVerdict("provably_positive",
-                                 reason="finite frieze, all interior rows scanned")
-    return PositivityVerdict("inconclusive")
+def assert_positivity_decided(Q, check=check_positivity):
+    """``check`` decides Q's frieze, whatever the depth passed, as
+    ``positivity_by_table`` does at depth 12n; where that scan is
+    inconclusive, Q is nonpositive with s_1 < 2.  A witness is a nontrivial
+    entry with sign <= 0.  Returns the verdict."""
+    n = Q.n
+    got = check(FriezeTable(Q))
+    for depth in (n, 3 * n, 12 * n):
+        assert check(FriezeTable(Q), depth) == got, (Q, depth)
+    G = KernelRows(Q)
+    want = positivity_by_table(G, 12 * n)
+    if want.kind == "inconclusive":
+        s1 = growth_by_table(G, 1)
+        assert sign_of(s1 - Q.context.from_int(2)) < 0, Q
+        assert got.kind == "nonpositive_found", Q
+    else:
+        assert got.kind == want.kind, (Q, got, want)
+    if got.kind == "nonpositive_found":
+        i, j = got.witness
+        assert j - i >= 2 and sign_of(G.entry(i, j)) <= 0, Q
+    return got
 
 
 def sweep_cycles(seed, count):
@@ -133,9 +134,9 @@ def sweep_cycles(seed, count):
     checks, in order."""
     seen = []
 
-    def recording(F, depth):
+    def recording(F, *depth):
         seen.append(F.quiddity)
-        return saved(F, depth)
+        return saved(F, *depth)
 
     saved = artifact.cli.check_positivity
     artifact.cli.check_positivity = recording

@@ -216,6 +216,19 @@ def test_positivity_verdicts():
     assert check_positivity(FriezeTable(Q3), 12).kind == "provably_positive"
 
 
+def test_row_below_minus_one_raises():
+    # once row 3 is stored, row(-2) and row(-5) must not read stored rows
+    # from the end of the store
+    Q = quiddity_new([(3, 4), (4,), (3,)])
+    F = FriezeTable(Q)
+    F.row(3)
+    assert F.row(-1) == [Q.context.zero()] * 3
+    assert F.row(0) == [Q.context.one()] * 3
+    for t in (-2, -5):
+        with pytest.raises(ValueError):
+            F.row(t)
+
+
 def test_format_quiddity():
     Q = quiddity_new([(3, 3, 4), (3,), (3, 3, 4, 4)])
     assert format_quiddity(Q) == "[3,3,4] [3] [3,3,4,4]"

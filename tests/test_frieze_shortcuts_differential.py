@@ -1,12 +1,13 @@
 """Differential tests of the two places where the frieze code stops
 computing values that are already fixed.
 
-``FriezeTable._row`` fills every row past a finite frieze's closing row K
-(row K all zeros, row K - 1 all ones) as row d - K negated; ``KernelRows``
-in ``frieze_oracle`` fills every row from the recurrence, and both must
-store the same rows.  ``check_positivity`` returns ``entries >= 2`` from
-the multisets alone; ``positivity_by_scan`` reads s_1, the width and the
-rows first, and must give the same verdict.
+``FriezeTable._row`` fills every row from a finite frieze's closing row
+K = width + 3 on (row K all zeros, row K - 1 all ones) as row d - K
+negated; ``KernelRows`` in ``frieze_oracle`` fills every row from the
+recurrence, and both must store the same rows.  ``check_positivity``
+returns ``entries >= 2`` from the multisets alone and reads diagonal 0
+otherwise; the row scan to depth 12n (``assert_positivity_decided``) must
+give the same kind.
 
 The short cycles are every cycle of length n <= 3 over the multisets of
 one or two sizes from {3, 4, 5}, each read one to three times: 2,457
@@ -22,10 +23,10 @@ import pytest
 
 from artifact import FriezeTable, check_positivity, quiddity_new, quiddity_of
 from artifact.cli import parse_quiddity_text, random_polygon_dissection
-from artifact.frieze import _first_nonpositive
 from artifact.ring import make_context, sign_of
 
-from frieze_oracle import KernelRows, positivity_by_scan, sweep_cycles
+from frieze_oracle import (KernelRows, assert_positivity_decided,
+                           first_nonpositive, sweep_cycles)
 
 MULTISETS = [m for k in (1, 2)
              for m in itertools.combinations_with_replacement((3, 4, 5), k)]
@@ -46,16 +47,20 @@ def _polygons():
 
 
 def assert_rows_match(Q):
-    """Every stored row to depth 3n + K is the kernel's, and K is the width
-    plus 3 exactly when the frieze is finite."""
+    """Every stored row to depth 3n + K is the kernel's, K the width plus 3
+    for a finite frieze and 0 for an infinite one, and the kernel fills
+    rows 2..K-1 of a finite frieze alone."""
     F = FriezeTable(Q)
     K = 0 if F.width is None else F.width + 3
     depth = 3 * Q.n + K
+    calls = []
+    F._kernels = [lambda x, y, f=f: calls.append(f) or f(x, y)
+                  for f in F._kernels]
     F._row(depth)
     G = KernelRows(Q)
     G._row(depth)
-    assert F._closing == K, Q
     assert F._rows == G._rows, Q
+    assert len(calls) == Q.n * ((K or depth + 1) - 2), Q
     return K
 
 
@@ -86,21 +91,22 @@ def sweep13():
     return sweep_cycles(13, 300)
 
 
-def assert_positivity_matches(Q, depths):
-    for depth in depths:
-        assert check_positivity(FriezeTable(Q), depth) == \
-            positivity_by_scan(KernelRows(Q), depth), (Q, depth)
-
-
 def test_positivity_matches_the_scan_on_short_cycles():
-    for Q in SHORT:
-        assert_positivity_matches(Q, (Q.n, 3 * Q.n))
+    # A read t times has the frieze of A: the scan decides A, and A * t
+    # must get A's verdict and witness, though its period, trace and
+    # window differ
+    for n in (1, 2, 3):
+        for A in itertools.product(MULTISETS, repeat=n):
+            v = assert_positivity_decided(quiddity_new(A))
+            for t in (2, 3):
+                assert check_positivity(FriezeTable(quiddity_new(A * t))) \
+                    == v, (A, t)
 
 
 def test_positivity_matches_the_scan_on_seed13_sweep(sweep13):
     assert len(sweep13) == 600
     for Q in sweep13:
-        assert_positivity_matches(Q, (Q.n, 3 * Q.n))
+        assert_positivity_decided(Q)
 
 
 def test_two_sizes_everywhere_leaves_no_nonpositive_entry(sweep13):
@@ -108,7 +114,8 @@ def test_two_sizes_everywhere_leaves_no_nonpositive_entry(sweep13):
     checked = 0
     for Q in SHORT + sweep13:
         if all(len(a) >= 2 for a in Q.A):
-            assert _first_nonpositive(KernelRows(Q), 3 * Q.n) is None, Q
+            assert first_nonpositive(KernelRows(Q), 3 * Q.n) is None, Q
+            assert check_positivity(FriezeTable(Q)).reason == "entries >= 2"
             checked += 1
     assert checked > 100
 

@@ -1,22 +1,28 @@
-"""Differential tests of the trace-based ``growth_coefficient`` and
+"""Differential tests of the transfer-matrix ``growth_coefficient`` and
 ``check_positivity`` against their table-scan oracles in
 ``frieze_oracle``.
 
-``growth_coefficient`` reads s_1 = tr M from two diagonal climbs and the
-finite width from ``FriezeTable.width``, and takes s_k from the recurrence;
-``check_positivity`` scans rows 1..n alone for an infinite frieze with
-s_1 >= 2.  Both must give the oracle's answer, the oracle's ValueError
+``growth_coefficient`` reads s_1 = tr M from the period's transfer matrix
+and the finite width from ``FriezeTable.width``, and takes s_k from the
+recurrence; it must give the oracle's answer, the oracle's ValueError
 included.  ``growth_coefficients`` gives s_1..s_k in one pass and must stop
-where the per-k calls first raise.  The cycles are every cycle of length
-n <= 4 over a small alphabet, the inputs of the
-golden ``growth`` cases, and the cycles that ``verify positivity-sweep
---seed 13`` checks.
+where the per-k calls first raise.  ``check_positivity`` reads one forward
+run of diagonal 0, and must decide every frieze as the row scan to depth
+12n does, whatever depth it is passed (``assert_positivity_decided``); the
+differential must catch mutants of its windows.  The cycles are every
+cycle of length n <= 4 over a small alphabet, the inputs of the golden
+``growth`` cases, the cycles that ``verify positivity-sweep --seed 13``
+checks and a seeded random set.
 """
 
+import inspect
 import io
 import itertools
 import json
+import math
 import os
+import random
+from collections import Counter
 
 import pytest
 
@@ -27,8 +33,8 @@ from artifact.cli import parse_quiddity_text
 from artifact.frieze import quiddity_new
 from artifact.ring import sign_of
 
-from frieze_oracle import (growth_by_table, positivity_by_table, scan_width,
-                           sweep_cycles)
+from frieze_oracle import (KernelRows, assert_positivity_decided,
+                           growth_by_table, scan_width, sweep_cycles)
 
 ALPHABET = [(3,), (4,), (5,), (3, 3), (3, 4)]
 
@@ -62,21 +68,6 @@ def assert_growth_matches(Q, ks):
     for k in ks:
         assert _outcome(growth_coefficient, F, k) == \
             _outcome(growth_by_table, G, k), (Q, k)
-
-
-def assert_positivity_matches(Q, depths):
-    n = Q.n
-    for depth in depths:
-        got = check_positivity(FriezeTable(Q), depth)
-        want = _outcome(positivity_by_table, FriezeTable(Q), depth)
-        if want == ("ValueError", "growth coefficient undefined for "
-                                  "finite friezes"):
-            # the table scan's own fault: its finite width to depth missed
-            # a width that its s_1 found within n + 2 rows
-            assert n <= depth <= n + 1, (Q, depth)
-            assert scan_width(FriezeTable(Q), n + 2) is not None, Q
-            want = positivity_by_table(FriezeTable(Q), 3 * n)
-        assert got == want, (Q, depth)
 
 
 def test_growth_matches_table_on_sweep():
@@ -173,7 +164,7 @@ def test_growth_k_below_one_raises_as_table():
 
 def test_positivity_matches_table_on_sweep():
     for Q in SWEEP:
-        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+        assert_positivity_decided(Q)
 
 
 def test_sweep_covers_both_trace_paths():
@@ -206,7 +197,7 @@ def test_full_turn_finite_friezes_match_table():
     assert len(turned) >= 10
     for Q in turned:
         assert_growth_matches(Q, (1, 2, 3))
-        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+        assert_positivity_decided(Q)
 
 
 @pytest.fixture(scope="module")
@@ -221,35 +212,116 @@ def test_growth_matches_table_on_seed13_sweep(sweep13):
 
 
 def test_positivity_matches_table_on_seed13_sweep(sweep13):
-    for Q in sweep13:
-        assert_positivity_matches(Q, (Q.n, 3 * Q.n, 12 * Q.n))
+    # 10 of the 300 quotient cycles are nonpositive, all with s_1 < 2; the
+    # row scan finds 8 of them only past depth 3n
+    kinds = Counter(assert_positivity_decided(Q).kind for Q in sweep13)
+    assert kinds == {"provably_positive": 590, "nonpositive_found": 10}
 
 
-@pytest.mark.parametrize("A, depth", [
-    ([(4,)], 1),
-    ([(3,), (3, 4), (3, 4)], 3),
-    ([(4,), (3, 4), (4,), (3, 4)], 4),
-])
-def test_positivity_near_period_depth_on_finite_friezes(A, depth):
-    # the table scan raises here: the width lies in [depth, n + 2)
-    Q = quiddity_new(A)
-    with pytest.raises(ValueError):
-        positivity_by_table(FriezeTable(Q), depth)
-    assert check_positivity(FriezeTable(Q), depth) == \
-        check_positivity(FriezeTable(Q), 3 * Q.n)
+def _random_cycles(seed, count):
+    """Cycles of period 2-10, mostly over singletons, whose friezes are
+    often nonpositive."""
+    rng = random.Random(seed)
+    pool = [(3,), (4,), (5,), (6,), (3,), (4,), (3, 4), (4, 5), (3, 6)]
+    return [quiddity_new([rng.choice(pool) for _ in range(rng.randint(2, 10))])
+            for _ in range(count)]
 
 
-def test_positivity_near_period_depth_never_raises():
-    # depths n and n + 1 give a finite frieze of width below n + 2 the
-    # verdict of depth 3n; a wider one may read inconclusive there, as in
-    # the table scan, which the differential tests cover
+def test_positivity_matches_table_on_random_cycles():
+    kinds = Counter(assert_positivity_decided(Q).kind
+                    for Q in _random_cycles(7, 150))
+    assert kinds["nonpositive_found"] >= 50 and \
+        kinds["provably_positive"] >= 20, kinds
+
+
+def test_witness_within_the_progression_bound(sweep13):
+    # s_1 = 2cos(theta) < 2 on an infinite frieze: the first nonpositive
+    # m_{0,j} lies within ceil(pi/theta) + 1 periods, 2 when s_1 <= -2
+    seen = 0
+    for Q in SWEEP + sweep13 + _random_cycles(7, 150):
+        F = FriezeTable(Q)
+        s1 = F.trace().approx()
+        if F.width is not None or s1 >= 2:
+            continue
+        periods = 2 if s1 <= -2 else math.ceil(math.pi / math.acos(s1 / 2)) + 1
+        assert check_positivity(F).witness[1] <= periods * Q.n, Q
+        seen += 1
+    assert seen >= 100
+
+
+# s_1 >= 2, and the first nonpositive entry on diagonal 0 is m_{0,n}: only
+# the last entry of the window m_{0,1..n} sees it
+AT_THE_PERIOD = [quiddity_new(A) for A in (
+    [(3,), (4,), (4, 5), (4, 5), (3,), (3,), (3,)],
+    [(3,), (5,), (3, 4), (3, 4), (3,), (3,), (3,)],
+)]
+
+
+def test_last_window_entry_decides_some_friezes():
+    for Q in AT_THE_PERIOD:
+        F, n = FriezeTable(Q), Q.n
+        assert F.width is None
+        assert sign_of(F.trace() - Q.context.from_int(2)) >= 0
+        assert all(sign_of(F.entry(0, j)) > 0 for j in range(1, n))
+        assert check_positivity(F).witness == (0, n)
+
+
+def test_finite_diagonal_ends_are_positive():
+    # m_{0,N-1} = 1 and m_{0,N-2} = m_{N-2,N}, a quiddity entry, N = w + 3
+    # (the glide symmetry m_{i,j} = m_{j,i+N}): a finite diagonal read
+    # only to N - 2 or N - 3 decides the same
     finite = 0
     for Q in SWEEP:
-        deep = check_positivity(FriezeTable(Q), 3 * Q.n)
-        width = scan_width(FriezeTable(Q), Q.n + 2)
-        for depth in (Q.n, Q.n + 1):
-            v = check_positivity(FriezeTable(Q), depth)
-            if width is not None:
-                assert v == deep, (Q, depth)
-                finite += 1
-    assert finite > 0
+        F, n = FriezeTable(Q), Q.n
+        if F.width is None:
+            continue
+        N, G = F.width + 3, KernelRows(Q)
+        assert G.entry(0, N - 1) == Q.context.one(), Q
+        assert G.entry(0, N - 2) == Q.entries[(N - 2) % n], Q
+        finite += 1
+    assert finite >= 20
+
+
+MUTANTS = [
+    # m_{0,n} <= 0 read as positive
+    ("last, reason = F.n,", "last, reason = F.n - 1,"),
+    # half a period of diagonal 0
+    ("last, reason = F.n,", "last, reason = F.n // 2 + 1,"),
+    # a finite frieze read over one period, not to its closing row
+    ("last, reason = width + 2,", "last, reason = F.n,"),
+    # a finite frieze decided by s_1, as an infinite one
+    ("if width is not None:", "if False:"),
+    # s_1 < 2 read like s_1 >= 2
+    ("last = reason = None", "last = reason = F.n"),
+]
+
+
+@pytest.mark.parametrize("old, new", MUTANTS)
+def test_differential_catches_mutant(old, new, sweep13):
+    source = inspect.getsource(frieze_module.check_positivity)
+    assert source.count(old) == 1
+    namespace = dict(vars(frieze_module))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace["check_positivity"]
+    with pytest.raises(AssertionError):
+        for Q in AT_THE_PERIOD + SWEEP + sweep13:
+            assert_positivity_decided(Q, mutant)
+
+
+def test_positivity_fills_no_row(monkeypatch):
+    # a row scan would fill n rows of n cells and decide a sign for each;
+    # the run of diagonal 0 decides at most n + 1 signs
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return sign_of(x)
+
+    monkeypatch.setattr(frieze_module, "sign_of", counting)
+    for name in ("disc_ears_n120.txt", "annulus_ears_n120.txt"):
+        with open(os.path.join(GOLDEN, "inputs", name)) as fh:
+            Q = parse_quiddity_text(fh.read())
+        F = FriezeTable(Q)
+        calls.clear()
+        assert check_positivity(F).kind == "provably_positive"
+        assert len(F._rows) == 2 and len(calls) <= Q.n + 1, name

@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from artifact import (FriezeTable, classify_realizability, format_dissection,
+from artifact import (FriezeTable, check_positivity, classify_realizability,
+                      format_dissection,
                       glue, growth_coefficient, polygon, quiddity_new, quiddity_of,
                       quotient_realize, skeletal_realize, sign_of,
                       valid_pchoices, witness_nonuniqueness_probe)
@@ -212,3 +213,39 @@ def test_every_short_cycle_classifies():
     assert sum(kinds.values()) == 19 + 19 ** 2 + 19 ** 3
     assert set(kinds) == {"polygon", "punctured_disc", "annulus",
                           "quotient_annulus", "unrealizable"}, kinds
+
+
+def test_short_cycle_census_by_positivity():
+    # verdict x (positive, finite) over the same 7,239 cycles, the table of
+    # README "Positivity": every polygon, disc and annulus frieze is
+    # positive; the nonpositive infinite ones all have s_1 < 2
+    sets = [ms for k in (1, 2, 3)
+            for ms in combinations_with_replacement((3, 4, 5), k)]
+    census = Counter()
+    for n in (1, 2, 3):
+        for A in product(sets, repeat=n):
+            Q = quiddity_new(A)
+            F = FriezeTable(Q)
+            positive = check_positivity(F).kind == "provably_positive"
+            if not positive and F.width is None:
+                assert sign_of(F.trace() - Q.context.from_int(2)) < 0, A
+            census[classify_realizability(Q).kind, positive,
+                   F.width is not None] += 1
+    assert census == {
+        ("polygon", True, True): 1,
+        ("punctured_disc", True, False): 20,
+        ("annulus", True, False): 1762,
+        ("quotient_annulus", True, False): 1231,
+        ("quotient_annulus", True, True): 11,
+        ("quotient_annulus", False, False): 3,
+        ("unrealizable", True, False): 3578,
+        ("unrealizable", True, True): 61,
+        ("unrealizable", False, False): 560,
+        ("unrealizable", False, True): 12,
+    }
+
+
+def test_positive_frieze_need_not_be_realizable():
+    Q = quiddity_new([(3,), (3, 4, 5)])
+    assert check_positivity(FriezeTable(Q)).kind == "provably_positive"
+    assert classify_realizability(Q).kind == "unrealizable"

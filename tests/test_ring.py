@@ -1,9 +1,11 @@
 """Exact arithmetic in Z[2cos(pi/L)] and the Chebyshev kernel."""
 
 import random
+from fractions import Fraction
 
 from artifact import (RingContext, make_context, chebyshev_u, sign_of,
                       format_elem)
+from artifact.ring import MAX_DEGREE, _totient
 
 
 def U(ctx, k, p):
@@ -129,3 +131,35 @@ def test_ring_axioms_random(rng):
         assert (a + b) * c == a * c + b * c
         assert a + (-a) == ctx.zero()
         assert a * ctx.one() == a
+
+
+def _rank(vectors):
+    """The rank over Q of integer vectors, by exact elimination."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_lambdas_independent_in_every_ring():
+    # 1 and lambda_p for the p >= 4 dividing L are linearly independent over
+    # Q in every ring within MAX_DEGREE (167 rings, L <= 255 at degree 64):
+    # an integer relation would give two multisets with equal sums, so a
+    # value is a sum of lambda_p in at most one way
+    rings = [L for L in range(3, 4 * MAX_DEGREE ** 2 + 1)
+             if _totient(2 * L) // 2 <= MAX_DEGREE]
+    assert len(rings) >= 3
+    for L in rings:
+        ctx = RingContext(L)
+        vectors = [ctx.one().coeffs] + [ctx.lam(p).coeffs
+                                        for p in range(4, L + 1) if L % p == 0]
+        assert _rank(vectors) == len(vectors), L
