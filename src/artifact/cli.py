@@ -16,7 +16,7 @@ from .ring import format_elem
 from .frieze import (FriezeTable, format_quiddity, quiddity_new,
                      check_positivity, growth_coefficients)
 from .surface import (parse_dissection_text, format_dissection, quiddity_of,
-                      dissection_power, chords_cross)
+                      dissection_power, chords_cross, _arc_ends)
 from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (check_window, enumerate_matchings, weigh_matching,
                         matching_sum, growth_via_annulus_weight,
@@ -443,21 +443,12 @@ def render_svg(D):
     cx = cy = 220.0
     R, r_in = 180.0, 75.0
 
-    def outer_pt(a):
-        th = -math.pi / 2 + 2 * math.pi * ((a - 1) % s.n) / s.n
-        return (cx + R * math.cos(th), cy + R * math.sin(th))
-
-    def inner_pt(b):
-        mm = s.m if s.kind == "annulus" else 1
-        th = -math.pi / 2 + 2 * math.pi * ((b - 1) % mm) / mm
-        return (cx + r_in * math.cos(th), cy + r_in * math.sin(th))
-
     def vert_pt(v):
-        if v[0] == "b":
-            return outer_pt(v[1] + 1)
-        if v[0] == "t":
-            return inner_pt(v[1] + 1)
-        return (cx, cy)  # the puncture
+        if v[0] == "inf":
+            return (cx, cy)  # the puncture
+        radius, period = (R, s.n) if v[0] == "b" else (r_in, s.m)
+        th = -math.pi / 2 + 2 * math.pi * (v[1] % period) / period
+        return (cx + radius * math.cos(th), cy + radius * math.sin(th))
 
     if D.is_quotient():
         class_index = {fid: D.class_key(fid, 0)[0]
@@ -489,16 +480,11 @@ def render_svg(D):
         parts.append('<text x="%g" y="%g" font-size="13" '
                      'text-anchor="middle">%d</text>' % (x, y, f.id))
     for arc in base.arcs:
-        if arc.kind == "diag" or arc.kind == "peri":
-            p, q = outer_pt(arc.a), outer_pt(arc.b)
-        elif arc.kind == "bridge":
-            p, q = outer_pt(arc.a), inner_pt(arc.b)
-        else:
-            p, q = outer_pt(arc.a), (cx, cy)
+        p, q = map(vert_pt, _arc_ends(arc, 0, s.n, s.m))
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" '
                      'stroke="black"/>' % (p[0], p[1], q[0], q[1]))
     for i in range(1, s.n + 1):
-        x, y = outer_pt(i)
+        x, y = vert_pt(("b", i - 1))
         parts.append('<circle cx="%g" cy="%g" r="3" fill="black"/>' % (x, y))
         lx = cx + (x - cx) * 1.09
         ly = cy + (y - cy) * 1.09
@@ -506,7 +492,7 @@ def render_svg(D):
                      'text-anchor="middle">%d</text>' % (lx, ly, i))
     if s.kind == "annulus":
         for j in range(1, s.m + 1):
-            x, y = inner_pt(j)
+            x, y = vert_pt(("t", j - 1))
             parts.append('<circle cx="%g" cy="%g" r="3" fill="black"/>'
                          % (x, y))
     parts.append("</svg>")

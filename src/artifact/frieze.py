@@ -195,7 +195,8 @@ class FriezeTable:
     def width(self):
         """The width w of a finite frieze (row w+1 all ones, row w+2 all
         zeros), or None for an infinite one: w = kg - 3 for the least k
-        with M_g^k = -I, g the minimal period of the quiddity entries.
+        with M_g^k = -I, g the minimal period of the multisets A_i (and of
+        the entries, as the values determine the multisets).
         Then tr M_g = 2cos(r pi) with r in ``_angles`` and r's numerator
         odd, k is r's denominator, and at r = 1 (trace -2) M_g must be -I.
         M_n is a power of M_g, so an s_1 outside ``_angles`` proves the
@@ -204,9 +205,9 @@ class FriezeTable:
         angles = _angles(self.context)
         if self.trace().coeffs not in angles:
             return None
-        E, n = [e.coeffs for e in self.quiddity.entries], self.n
+        S, n = self.quiddity.A, self.n
         g = next(g for g in range(1, n + 1)
-                 if n % g == 0 and E[g:] + E[:g] == E)
+                 if n % g == 0 and S[g:] + S[:g] == S)
         (A, B), (C, D) = self.monodromy if g == n else self._matrix(g)
         r = angles.get((A + D).coeffs)
         if r is None or r.numerator % 2 == 0:

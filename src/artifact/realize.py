@@ -18,7 +18,7 @@ from .frieze import (QuiddityCycle, FriezeTable, realizability_test,
                      _meets, _cut_in_place)
 from .surface import (Arc, annulus, punctured_disc, polygon,
                       build_dissection, make_quotient, glue_ears,
-                      _corner_multisets)
+                      _arc_of, _corner_multisets)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def _construct(Q, pchoice):
             raise ValueError("cycle is not skeletal at position %d" % (a + 1))
         y += gap_p[j] - 2 - gaps[j]
     m = y
-    arcs = [Arc("bridge", a + 1, y % m + 1, y // m) for a, y in ends]
+    arcs = [_arc_of("bridge", ("b", a), ("t", y), n, m) for a, y in ends]
     return "annulus", build_dissection(annulus(n, m), arcs)
 
 

@@ -25,7 +25,10 @@ Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
 of an annulus carries a shift bit recording whether its lift runs
 v_a^0 -> w_b^0 or v_a^0 -> w_b^1 (dissections are considered up to Dehn
-twist, and every class has such a representative).
+twist, and every class has such a representative).  Outside the text
+format, ``_arc_ends`` (the ends of an arc's lift k) and its inverse
+``_arc_of`` are the only place where the shift bit and the far ends are
+read or written.
 """
 
 from __future__ import annotations
@@ -112,6 +115,35 @@ def _translate_vertex(v, t, n, m):
     if v[0] == "t":
         return ("t", v[1] + t * m)
     return v
+
+
+def _arc_ends(arc, k, n, m):
+    """The strip ends of lift k of an arc: v_a^k, then its far end on the
+    bottom line, on the top line or at the puncture."""
+    x = arc.a - 1 + k * n
+    if arc.kind == "bridge":
+        return ("b", x), ("t", arc.b - 1 + (arc.shift + k) * m)
+    if arc.kind == "bridge_disc":
+        return ("b", x), _INF
+    # a peripheral arc runs counterclockwise, so it ends right of v_a^k
+    far = arc.b - 1 + k * n
+    if arc.kind == "peri" and arc.b <= arc.a:
+        far += n
+    return ("b", x), ("b", far)
+
+
+def _arc_of(kind, p, q, n, m):
+    """The arc of the given kind with a lift from p to q; inverts
+    ``_arc_ends``."""
+    k, i = divmod(p[1], n)
+    if kind == "bridge":
+        shift, j = divmod(q[1] - k * m, m)
+        if shift not in (0, 1):
+            raise AssertionError("bridging shift %d outside {0, 1}" % shift)
+        return Arc(kind, i + 1, j + 1, shift)
+    if kind == "bridge_disc":
+        return Arc(kind, i + 1)
+    return Arc(kind, i + 1, q[1] % n + 1)
 
 
 @dataclass(frozen=True)
@@ -248,31 +280,21 @@ class Dissection:
 
     def _chord_lifts(self, x_lo, x_hi, y_lo, y_hi):
         """All chords (vertex-label pairs) whose lifts fit in the window."""
-        s = self.surface
-        n, m = s.n, s.m
+        n, m = self.surface.n, self.surface.m
         chords = []
         for arc in self.arcs:
-            xa = arc.a - 1
             if arc.kind == "diag":
                 # smaller end first, as every other kind lifts
-                lo, hi = sorted((xa, arc.b - 1))
-                chords.append((("b", lo), ("b", hi)))
+                chords.append(tuple(sorted(_arc_ends(arc, 0, n, m))))
                 continue
-            # each kind picks the far end of v_a^k and tests that it fits
+            # the lifts whose v_a^k lies in the window, if the far end fits
+            xa = arc.a - 1
             for k in range(-((xa - x_lo) // n), (x_hi - xa) // n + 1):
-                if arc.kind == "peri":
-                    x = (arc.b - 1 if arc.b > arc.a else arc.b - 1 + n) + k * n
-                    if x > x_hi:
-                        continue
-                    far = ("b", x)
-                elif arc.kind == "bridge":
-                    y = (arc.b - 1) + (arc.shift + k) * m
-                    if not y_lo <= y <= y_hi:
-                        continue
-                    far = ("t", y)
-                else:
-                    far = _INF
-                chords.append((("b", xa + k * n), far))
+                p, q = _arc_ends(arc, k, n, m)
+                if q[0] == "b" and q[1] > x_hi or (
+                        q[0] == "t" and not y_lo <= q[1] <= y_hi):
+                    continue
+                chords.append((p, q))
         return chords
 
     def _compute_faces(self):
@@ -469,12 +491,17 @@ class _ClassMap:
         self.period = [0] * nfaces  # gcd of forced self-translations, 0 = none
 
     def find(self, f):
-        if self.parent[f] == f:
-            return f, 0
-        root, p = self.find(self.parent[f])
-        self.parent[f] = root
-        self.pot[f] += p
-        return root, self.pot[f]
+        """f's root and offset to it; the path is compressed on the way."""
+        path = []
+        while self.parent[f] != f:
+            path.append(f)
+            f = self.parent[f]
+        p = 0
+        for v in reversed(path):  # nearest the root first
+            p += self.pot[v]
+            self.pot[v] = p
+            self.parent[v] = f
+        return f, p
 
     def union(self, f1, f2, delta):
         """Impose (f1, t) ~ (f2, t + delta) for all t."""
@@ -639,19 +666,9 @@ def dissection_power(D, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     n, m = s.n, s.m
-    arcs = []
-    for arc in D.arcs:
-        for c in range(k):
-            if arc.kind == "bridge":
-                y = (arc.b - 1) + (arc.shift + c) * m
-                arcs.append(Arc("bridge", arc.a + c * n,
-                                y % (k * m) + 1, y // (k * m)))
-            elif arc.kind == "bridge_disc":
-                arcs.append(Arc("bridge_disc", arc.a + c * n))
-            elif arc.kind == "peri":
-                xa = (arc.a - 1) + c * n
-                xb = (arc.b - 1 if arc.b > arc.a else arc.b - 1 + n) + c * n
-                arcs.append(Arc("peri", xa % (k * n) + 1, xb % (k * n) + 1))
+    # arc c of the power is lift c of the base arc, read over k periods
+    arcs = [_arc_of(arc.kind, *_arc_ends(arc, c, n, m), k * n, k * m)
+            for arc in D.arcs for c in range(k)]
     # the c-th translate of a base face starts at its leftmost vertex plus
     # c periods, which lies in [0, kn)
     faces = [tuple(_translate_vertex(v, c, n, m) for v in f.verts)
@@ -711,24 +728,9 @@ def glue_ears(D, steps):
 
     # a bridge keeps its inner end's strip height, less the periods its
     # outer end moved; rotations re-anchor the inner labels at height 0
-    heights = {arc: (arc.b - 1) + arc.shift * m - wrap[arc.a - 1] * m
-               for arc in base.arcs if arc.kind == "bridge"}
-    lift = -min(heights.values()) if rotated and heights else 0
-    arcs = []
-    for arc in base.arcs:
-        a = label[arc.a - 1] + 1
-        if arc.kind == "bridge":
-            y = heights[arc] + lift
-            if not 0 <= y < 2 * m:
-                raise AssertionError("rotation failed to renormalize shifts")
-            arcs.append(Arc("bridge", a, y % m + 1, y // m))
-        elif arc.kind == "bridge_disc":
-            arcs.append(Arc("bridge_disc", a))
-        else:
-            arcs.append(Arc(arc.kind, a, label[arc.b - 1] + 1))
-    kind = "diag" if s.kind == "polygon" else "peri"
-    arcs += [Arc(kind, label[e[0]] + 1, label[e[-1]] + 1) for e in ears]
-
+    heights = [_arc_ends(arc, -wrap[arc.a - 1], s.n, m)[1][1]
+               for arc in base.arcs if arc.kind == "bridge"]
+    lift = -min(heights) if rotated and heights else 0
     closed = s.kind == "polygon"
 
     def bottom(x):  # a polygon's boundary closes up after one period
@@ -741,6 +743,11 @@ def glue_ears(D, steps):
             return v
         k, i = divmod(v[1], s.n)
         return bottom(label[i] + (k + wrap[i]) * N)
+
+    arcs = [_arc_of(arc.kind, *map(move, _arc_ends(arc, 0, s.n, m)), N, m)
+            for arc in base.arcs]
+    kind = "diag" if s.kind == "polygon" else "peri"
+    arcs += [Arc(kind, label[e[0]] + 1, label[e[-1]] + 1) for e in ears]
 
     moved = [_normal_face([move(v) for v in f.verts], N, m)
              for f in base.base_faces]

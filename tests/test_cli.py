@@ -1,11 +1,13 @@
 """End-to-end command-line behaviour via the dispatch entry point."""
 
 import io
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from artifact import parse_dissection_text
 from artifact.cli import dispatch, parse_quiddity_text
 
 from conftest import ANNULUS_334_TEXT
@@ -240,3 +242,28 @@ def test_a_witness_past_the_ring_degree_cap_is_an_internal_error(
     monkeypatch.setattr(realize, "_classify_core", lambda Q: big)
     for verb in ("classify", "realize"):
         assert run([verb, qfile("[3,3] [3,3] [3,3] [3,3]")]) == (3, "")
+
+
+def test_a_long_glue_chain_renders(tmp_path):
+    # every other two-top triangle of A_{1,2400} glued to the next, newest
+    # face first, makes one class whose union-find path is 1,199 long
+    lines = (["annulus 1 2400"] + ["bridge 1 %d 0" % j for j in range(1, 2401)]
+             + ["bridge 1 1 1"])
+    D = parse_dissection_text("\n".join(lines))
+    chain = [f.id for f in D.base_faces if len(f.top_coords()) == 2][::2]
+    lines += ["glue %d %d" % (b, a) for a, b in zip(chain, chain[1:])]
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["render", str(path)])[0] == 0
+    Q = parse_dissection_text(path.read_text())
+    classes = Q._classes
+    parent, pot = list(classes.parent), list(classes.pot)
+    longest = 0
+    for f in range(len(parent)):
+        r, off, depth = f, 0, 0
+        while parent[r] != r:
+            r, off, depth = parent[r], off + pot[r], depth + 1
+        longest = max(longest, depth)
+        g = classes.period[r]
+        assert Q.class_key(f, 0) == (r, off % g if g else off), f
+    assert longest == len(chain) - 1 > sys.getrecursionlimit()

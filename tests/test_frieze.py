@@ -232,3 +232,12 @@ def test_row_below_minus_one_raises():
 def test_format_quiddity():
     Q = quiddity_new([(3, 3, 4), (3,), (3, 3, 4, 4)])
     assert format_quiddity(Q) == "[3,3,4] [3] [3,3,4,4]"
+
+
+def test_realizability_test_names_the_failing_place():
+    for A, want in [
+            ([(3, 4), (5,), (3, 3)], ("empty_intersection", 1, None)),
+            ([(3,), (3,), (3, 4)], ("long_run", 1, 3)),
+            ([(3, 4), (4,), (4, 5), (5,)], ("empty_intersection", 4, None))]:
+        v = realizability_test(quiddity_new(A))
+        assert not v.ok and (v.reason, v.position, v.p) == want, A

@@ -1,6 +1,7 @@
 """Surfaces, dissections, quotients, powers, and the text format."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from artifact import (Arc, Dissection, annulus, build_dissection,
                       dissection_power, format_dissection, glue_ear,
                       make_quotient, parse_dissection_text, polygon,
                       punctured_disc, quiddity_of, rotate_dissection)
+from artifact.surface import Surface, _ClassMap, _arc_ends, _arc_of
 from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
                           random_witness)
 
@@ -315,3 +317,57 @@ def test_face_geometry(annulus_334):
     assert sizes == [3, 3, 4, 4]
     ear = next(f for f in annulus_334.base_faces if not f.top_coords())
     assert ear.size == 3
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _golden_arcs():
+    """(surface, arcs) of every golden dissection input, valid or not."""
+    for path in sorted(GOLDEN_INPUTS.glob("*.txt")):
+        rows = [line.split("#", 1)[0].split()
+                for line in path.read_text().splitlines()]
+        (head, *size), *arcs = [r for r in rows if r]
+        if head in ("polygon", "disc", "annulus"):
+            yield Surface(head, *map(int, size)), [
+                Arc(kind.replace("-", "_"), *map(int, nums))
+                for kind, *nums in arcs if kind != "glue"]
+
+
+def test_arc_ends_and_arc_of_are_inverse(annulus_334, hexagon_13_35,
+                                         pentagon_24_25):
+    cases = list(_golden_arcs()) + [
+        (D.surface, D.arcs) for D in [annulus_334, hexagon_13_35,
+                                      pentagon_24_25, quotient_28_fixture()]
+        + _dissections_of_every_kind(random.Random(22))]
+    # the reversed diagonals of two golden polygon witnesses
+    cases += [(polygon(5), [Arc("diag", 5, 2)]),
+              (polygon(30), [Arc("diag", 30, 26)])]
+    seen = set()
+    for s, arcs in cases:
+        n, m = s.n, s.m
+        for arc in arcs:
+            seen.add((s.kind, arc.kind, arc.shift, arc.b < arc.a))
+            for k in range(-2, 3):
+                p, q = _arc_ends(arc, k, n, m)
+                assert p == ("b", arc.a - 1 + k * n), (s, arc, k)
+                assert _arc_of(arc.kind, p, q, n, m) == arc, (s, arc, k)
+    assert {("disc", "peri", 0, False), ("annulus", "bridge", 1, False),
+            ("polygon", "diag", 0, True), ("disc", "peri", 0, True)} <= seen
+    # a bridge whose top end lies two periods up has no shift bit
+    with pytest.raises(AssertionError):
+        _arc_of("bridge", ("b", 0), ("t", 2 * 3), 3, 3)
+
+
+def test_class_map_finds_through_a_long_chain_with_offsets():
+    # union(f + 1, f, d) makes f + 1 the parent of f, so face 0 is 1,999
+    # links from the root, past the recursion limit
+    deltas = [f % 7 - 3 for f in range(1999)]
+    classes = _ClassMap(2000)
+    for f, d in enumerate(deltas):
+        classes.union(f + 1, f, d)
+    assert classes.parent[:3] == [1, 2, 3]
+    # (f + 1, t) ~ (f, t + d), read after each find has compressed the path
+    for f, d in enumerate(deltas):
+        assert classes.key(f + 1, 0) == classes.key(f, d), f
+    assert classes.key(0, 0) == (1999, -sum(deltas))

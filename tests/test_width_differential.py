@@ -58,3 +58,21 @@ def test_width_matches_the_row_scan():
     for A, t in itertools.product(finite[:40], (2, 3, 4)):
         Q = quiddity_new(A * t)
         assert FriezeTable(Q).width == _scan(A * t) is not None, (A, t)
+
+
+def _period(xs):
+    n = len(xs)
+    return next(g for g in range(1, n + 1)
+                if n % g == 0 and xs[g:] + xs[:g] == xs)
+
+
+def test_the_multisets_and_the_entries_have_one_minimal_period():
+    # ``width`` reads g off the multisets; the values determine the
+    # multisets, so the entries have the same minimal period
+    periods = set()
+    for A in _cycles():
+        Q = quiddity_new(A)
+        g = _period(Q.A)
+        assert g == _period(tuple(e.coeffs for e in Q.entries)), A
+        periods.add((Q.n, g))
+    assert {(2, 1), (2, 2), (3, 1), (3, 3)} <= periods
