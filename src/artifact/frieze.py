@@ -21,11 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, cycle, islice
+from itertools import chain, count
 from operator import index
 from typing import Optional
 
-from .ring import FixedMultiplier, RingElem, make_context, sign_of
+from .ring import RingElem, make_context, sign_of
 
 
 def _as_multiset(a):
@@ -116,28 +116,31 @@ class FriezeTable:
 
     Each diagonal solves the discrete Hill equation w_{k+1} = c_k w_k -
     w_{k-1}, c_k = m_{k,k+2}: m_{i,j} = w_{j-1} for the solution with
-    w_{i-1} = 0 and w_i = 1.  ``_run`` runs that equation forward; the
-    period's transfer matrix ``monodromy`` comes from two runs, and the
-    trace, the width and ``check_positivity`` read them.
+    w_{i-1} = 0 and w_i = 1.  The table keeps two runs of that equation as
+    coefficient lists that grow as they are read (``_w``): run 0 from
+    (w_{-1}, w_0) = (0, 1), which is diagonal 0, and run 1 from (1, 0).
+    The transfer matrices ``_matrix(g)`` and ``monodromy`` are read off
+    them, and the trace, the width and ``check_positivity`` read those
+    and run 0, so each run is computed once per table.
 
     The table is stored as whole rows: ``_rows[d][i]`` is m_{i,i+d} for one
     period, i = 0..n-1, and m_{i+n,j+n} = m_{i,j}.  Rows 0 and 1 hold the
     zeros and ones; row d is filled in one pass from rows d-1 and d-2 by
     m_{i,i+d} = m_{i,i+2} m_{i+1,i+d} - m_{i+2,i+d}, on coefficient tuples,
-    with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, built
-    once per distinct multiset.  From a finite frieze's closing row K =
-    width + 3 on, row d is row d-K negated, with no kernel call (README,
-    "Finite friezes").
+    with the fixed-multiplier kernel of the quiddity entry m_{i,i+2}, which
+    the context builds once per multiset.  From a finite frieze's closing
+    row K = width + 3 on, row d is row d-K negated, with no kernel call
+    (README, "Finite friezes").
     """
 
     def __init__(self, quiddity):
         self.quiddity = quiddity
         self.n = n = quiddity.n
         self.context = ctx = quiddity.context
-        kernels = {a: FixedMultiplier(ctx, a).times_minus
-                   for a in set(quiddity.A)}
-        self._kernels = [kernels[a] for a in quiddity.A]
+        self._kernels = [ctx.multiplier(a).times_minus for a in quiddity.A]
         self._rows = [[ctx.zero()] * n, [ctx.one()] * n]
+        zero, one = ctx.zero().coeffs, ctx.one().coeffs
+        self._runs = ([zero, one], [one, zero])
 
     def _row(self, d):
         """The stored row d (d >= 0), filling the rows up to it in order."""
@@ -164,21 +167,21 @@ class FriezeTable:
             raise ValueError("row requires t >= -1")
         return list(self._row(t + 1))
 
-    def _run(self, x, y):
-        """w_0, w_1, ... (coefficient tuples, no end) of w_{k+1} = c_k w_k -
-        w_{k-1} from w_{-1} = x, w_0 = y; from (0, 1), w_k = m_{0,k+1}."""
-        for f in cycle(self._kernels):
-            yield y
-            x, y = y, f(y, x)
+    def _w(self, run, j):
+        """w_{j-1} of the stored run 0 or 1 (coefficients), run forward to
+        it as needed: m_{0,j} on run 0, -m_{1,j} on run 1."""
+        w, kernels, n = self._runs[run], self._kernels, self.n
+        for k in range(len(w), j + 1):
+            w.append(kernels[(k - 2) % n](w[-1], w[-2]))
+        return w[j]
 
     def _matrix(self, g):
         """M_g = ((A, B), (C, D)), the transfer matrix of positions 0..g-1:
         (w_{g-1}, w_g) = M_g (w_{-1}, w_0) for every run, so B = m_{0,g},
-        D = m_{0,g+1}, A = -m_{1,g} and C = -m_{1,g+1}.  O(g)."""
+        D = m_{0,g+1}, A = -m_{1,g} and C = -m_{1,g+1}, read off the runs."""
         ctx = self.context
-        zero, one = ctx.zero().coeffs, ctx.one().coeffs
-        A, C, B, D = (RingElem(ctx, w) for start in ((one, zero), (zero, one))
-                      for w in islice(self._run(*start), g - 1, g + 1))
+        A, C, B, D = (RingElem(ctx, self._w(run, j))
+                      for run in (1, 0) for j in (g, g + 1))
         return (A, B), (C, D)
 
     @cached_property
@@ -208,7 +211,7 @@ class FriezeTable:
         S, n = self.quiddity.A, self.n
         g = next(g for g in range(1, n + 1)
                  if n % g == 0 and S[g:] + S[:g] == S)
-        (A, B), (C, D) = self.monodromy if g == n else self._matrix(g)
+        (A, B), (C, D) = self._matrix(g)
         r = angles.get((A + D).coeffs)
         if r is None or r.numerator % 2 == 0:
             return None
@@ -269,13 +272,15 @@ def check_positivity(F, depth=None):
     nonpositive_found with the first m_{0,j} <= 0 as witness otherwise.
 
     Every multiset with two or more sizes makes every entry >= 2, read off
-    the multisets.  Otherwise diagonal 0 decides, from one forward run that
-    keeps two values: up to m_{0,w+2} for a finite frieze of width w, up to
-    m_{0,n} for an infinite one with s_1 >= 2.  An infinite frieze with
-    s_1 < 2 is nonpositive, and its diagonal 0 meets a nonpositive entry
-    within ceil(pi/theta) + 1 periods, s_1 = 2cos(theta) (within 2 when
-    s_1 <= -2).  ``depth`` is accepted and ignored, so that callers that
-    pass a scan depth, as the benchmark's positivity op does, keep working.
+    the multisets.  Otherwise diagonal 0 decides, read from the table's
+    stored run 0, which the trace has already run to m_{0,n+1}: up to
+    m_{0,w+2} for a finite frieze of width w, up to m_{0,n} for an
+    infinite one with s_1 >= 2.  An infinite frieze with s_1 < 2 is
+    nonpositive, and its diagonal 0 meets a nonpositive entry within
+    ceil(pi/theta) + 1 periods, s_1 = 2cos(theta) (within 2 when
+    s_1 <= -2); the run is extended only past m_{0,n+1}.  ``depth`` is
+    accepted and ignored, so that callers that pass a scan depth, as the
+    benchmark's positivity op does, keep working.
     """
     # lambda_p lies in [1, 2): an entry is >= 2 exactly when its multiset
     # has two or more sizes, and then every entry of the frieze is positive
@@ -288,9 +293,8 @@ def check_positivity(F, depth=None):
         last, reason = F.n, "s1 >= 2, diagonal 0 positive"
     else:
         last = reason = None     # s1 < 2: the run meets a nonpositive entry
-    run = F._run(ctx.zero().coeffs, ctx.one().coeffs)
-    for j, w in enumerate(islice(run, last), 1):     # w = m_{0,j}
-        if sign_of(RingElem(ctx, w)) <= 0:
+    for j in count(1) if last is None else range(1, last + 1):
+        if sign_of(RingElem(ctx, F._w(0, j))) <= 0:
             return PositivityVerdict("nonpositive_found", witness=(0, j))
     return PositivityVerdict("provably_positive", reason=reason)
 

@@ -22,7 +22,8 @@ schoolbook product is faster.
 Every frieze entry comes from m_{i,j} = q m_{i+1,j} - m_{i+2,j} with q one
 of the n quiddity entries.  ``FixedMultiplier`` fuses that step: the columns
 C_k = q mu^k mod Psi of multiplication by q are sums of the columns of the
-lambda_p, kept per L.  Packed at digit width w, q x - y is read from the d
+lambda_p, kept per L, and the context builds one multiplier per multiset
+(``multiplier``).  Packed at digit width w, q x - y is read from the d
 digits of bias + sum_k x_k C_k(w), with y subtracted in the unpack.  Digit
 j of q x is sum_k x_k c_kj, below 2^bits(x) B in magnitude for the column
 bound B = max_j sum_k |c_kj| <= d max |c_kj|, so w = bits(x) + bits(B) + 1,
@@ -170,8 +171,9 @@ class RingContext:
 
     ``rows[m - d]`` is mu^m mod Psi for m = d..2d-2, ``two_cos(k)`` the
     coefficients of 2cos(k pi/L), ``columns(p, w)`` the columns of
-    multiplication by lambda_p, and ``_mul`` the product kernel for the
-    degree.  Packed rows and columns are kept per digit width.
+    multiplication by lambda_p, ``_mul`` the product kernel for the degree
+    and ``multiplier(sizes)`` the ``FixedMultiplier`` of a multiset.  Packed
+    rows and columns and the multipliers' digit layout are kept per width.
 
     A context is immutable after creation apart from these caches and the
     refinement of its certified enclosure of mu.  Elements of different
@@ -202,6 +204,8 @@ class RingContext:
                   default=1)
         self._slack = d.bit_length() + col.bit_length() + 1
         self._packed = {}
+        self._digits = {}
+        self._multipliers = {}
         self._columns = {}
         self._lams = {}
         self._zeros = (0,) * (d - 1)
@@ -261,6 +265,13 @@ class RingContext:
             self._columns[key] = (bound, tuple(cols))
         return self._columns[key]
 
+    def multiplier(self, sizes):
+        """The ``FixedMultiplier`` of the sorted multiset ``sizes``, built
+        once per context and shared by every frieze table."""
+        if sizes not in self._multipliers:
+            self._multipliers[sizes] = FixedMultiplier(self, sizes)
+        return self._multipliers[sizes]
+
     def _schoolbook(self, a, b):
         d = self.degree
         prod = _poly_mul(a, b)
@@ -280,6 +291,14 @@ class RingContext:
                   sum(half << (w * k) for k in range(2 * d - 1)))
         self._packed[w] = packed
         return packed
+
+    def _digit_layout(self, w):
+        """(bias, half, mask, shifts) of d signed digits of width w."""
+        if w not in self._digits:
+            half, d = 1 << (w - 1), self.degree
+            self._digits[w] = (_pack((half,) * d, w), half, (1 << w) - 1,
+                               range(0, d * w, w))
+        return self._digits[w]
 
     def _kronecker(self, a, b):
         """Product by Kronecker substitution at a digit width that holds
@@ -321,15 +340,8 @@ class RingContext:
         if self._powers is None:
             a, b, den = self._enclosure
             D = self.degree - 1
-            lo, hi = [], []
-            pa = pb = 1
-            for k in range(D + 1):
-                scale = den ** (D - k)
-                lo.append(pa * scale)
-                hi.append(pb * scale)
-                pa *= a
-                pb *= b
-            self._powers = (lo, hi)
+            self._powers = tuple(tuple(x ** k * den ** (D - k)
+                                       for k in range(D + 1)) for x in (a, b))
         return self._powers
 
     # -- element constructors ------------------------------------------------
@@ -382,11 +394,10 @@ class FixedMultiplier:
     def times_minus(self, x, y):
         w = (max(map(int.bit_length, x)) + self._bits + 64) >> 6 << 6
         if w not in self._packed:
-            d, half = len(x), 1 << (w - 1)
-            cols = [self._context.columns(p, w)[1] for p in self._sizes]
-            self._packed[w] = (tuple(map(sum, zip(*cols))),
-                               _pack((half,) * d, w), half, (1 << w) - 1,
-                               range(0, d * w, w))
+            ctx = self._context
+            cols = [ctx.columns(p, w)[1] for p in self._sizes]
+            self._packed[w] = ((tuple(map(sum, zip(*cols))),)
+                               + ctx._digit_layout(w))
         cols, bias, half, mask, shifts = self._packed[w]
         out = sum(map(operator.mul, x, cols), bias)
         if w == 64:
@@ -416,20 +427,20 @@ class RingElem:
     def __add__(self, other):
         other = self._check(other)
         return RingElem(self.context,
-                        tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                        tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
         return RingElem(self.context,
-                        tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+                        tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return RingElem(self.context, tuple(-a for a in self.coeffs))
+        return RingElem(self.context, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         other = self._check(other)
@@ -449,7 +460,7 @@ class RingElem:
         return hash((id(self.context), self.coeffs))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def approx(self):
         """Floating point approximation (display only, never authoritative)."""
@@ -509,27 +520,31 @@ def sign_of(a):
 
     The enclosure lies in (0, 2], so powers are monotone on it: the lower
     bound takes lo^k for positive and hi^k for negative coefficients, the
-    upper bound the other way round.
+    upper bound the other way round, summed only when the lower bound is
+    not positive.
     """
     if a.is_zero():
         return 0
-    ctx = a.context
-    coeffs = a.coeffs
+    ctx, coeffs = a.context, a.coeffs
     while True:
         lo, hi = ctx._enclosure_powers()
-        vlo = vhi = 0
-        for c, pl, ph in zip(coeffs, lo, hi):
-            if c > 0:
-                vlo += c * pl
-                vhi += c * ph
-            elif c < 0:
-                vlo += c * ph
-                vhi += c * pl
-        if vlo > 0:
+        if _bound(coeffs, lo, hi) > 0:
             return 1
-        if vhi < 0:
+        if _bound(coeffs, hi, lo) < 0:
             return -1
         ctx._refine_enclosure_once()
+
+
+def _bound(coeffs, pos, neg):
+    """sum_k c_k x_k with x_k = pos[k] for positive and neg[k] for negative
+    c_k, skipping the zero coefficients."""
+    v = 0
+    for c, p, q in zip(coeffs, pos, neg):
+        if c > 0:
+            v += c * p
+        elif c < 0:
+            v += c * q
+    return v
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@
 The oracles are the arithmetic the kernels replaced: the schoolbook
 product reduced one top coefficient at a time by the minimal polynomial,
 and the sign read from a ``Fraction`` interval evaluation on a bisected
-``Fraction`` enclosure of mu.  Both Kronecker and schoolbook products are
-checked in every context, whichever of the two the context selects.  The
+``Fraction`` enclosure of mu.  ``sign_of`` must also make the decisions
+and the enclosure refinements of a loop that sums both integer bounds in
+one pass.  Both Kronecker and schoolbook products are checked in every
+context, whichever of the two the context selects.  The
 fixed-multiplier kernel of the frieze recurrence is checked against q x - y
 through the general product at one-word and multi-word digit widths, and
 ``FriezeTable``, which fills whole rows with that kernel, against a walk
@@ -110,6 +112,33 @@ class FractionSign:
             if vhi < 0:
                 return -1
             self.refine()
+
+
+def loop_sign(x):
+    """The sign of x by a per-coefficient loop over the enclosure's powers
+    lo_k = a^k N^(D-k) and hi_k = b^k N^(D-k), summing both bounds v_lo
+    and v_hi in one pass before it decides, and refining x's context until
+    they exclude zero: the decision rule ``sign_of`` must follow."""
+    if x.is_zero():
+        return 0
+    ctx = x.context
+    D = ctx.degree - 1
+    while True:
+        a, b, den = ctx._enclosure
+        vlo = vhi = 0
+        for k, c in enumerate(x.coeffs):
+            pl, ph = a ** k * den ** (D - k), b ** k * den ** (D - k)
+            if c > 0:
+                vlo += c * pl
+                vhi += c * ph
+            elif c < 0:
+                vlo += c * ph
+                vhi += c * pl
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        ctx._refine_enclosure_once()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +389,30 @@ def test_sign_of_matches_the_fraction_oracle(L):
     if d > 1:
         # the near-zero elements made the enclosure bisect many times
         assert ctx._enclosure[2] >= start << 60
+
+
+@pytest.mark.parametrize("L", (3, 4, 5, 12, 20, 60))
+def test_sign_of_decides_and_refines_as_the_coefficient_loop(L):
+    # two private contexts of one L: sign_of refines one, the loop the
+    # other, and their enclosures must stay equal after every call
+    ctx, twin = RingContext(L), RingContext(L)
+    d = ctx.degree
+    rng = random.Random(300 + L)
+    cases = [random_coeffs(rng, d, bits)
+             for bits in (0, 1, 4, 30, 64, 200) for _ in range(6)]
+    oracle = FractionSign(ctx)
+    cases += [near_zero(ctx, oracle, random_coeffs(rng, d, bits),
+                        digits).coeffs
+              for bits in (2, 10) for digits in (3, 6, 15, 30)]
+    if L % 5 == 0:   # 1000 lambda_5 - 1618 = 0.034...
+        cases.append((ctx.lam(5) * 1000 - 1618).coeffs)
+    start = ctx._enclosure
+    for coeffs in cases:
+        for c in (coeffs, tuple(-v for v in coeffs)):
+            assert sign_of(RingElem(ctx, c)) == loop_sign(RingElem(twin, c)), c
+            assert ctx._enclosure == twin._enclosure, c
+    if d > 1:
+        assert ctx._enclosure[2] >= start[2] << 60
 
 
 def test_sign_of_on_frieze_growth_and_entry_differences():
