@@ -10,11 +10,13 @@ import argparse
 import functools
 import math
 import random
+import re
 import sys
 
-from .ring import format_elem
-from .frieze import (FriezeTable, format_quiddity, quiddity_new,
-                     check_positivity, growth_coefficients)
+from .ring import format_elem, make_context
+from .frieze import (FriezeTable, QuiddityCycle, format_quiddity,
+                     quiddity_new, check_positivity, growth_coefficients,
+                     _sizes)
 from .surface import (parse_dissection_text, format_dissection, quiddity_of,
                       dissection_power, chords_cross, _arc_ends)
 from .realize import classify_realizability, witness_nonuniqueness_probe
@@ -33,10 +35,25 @@ EXIT_INTERNAL = 3
 # input parsing
 # ---------------------------------------------------------------------------
 
+# a whole line of well-formed multisets; \s is exactly str.isspace
+_CYCLE = re.compile(r"\s*(?:\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\]\s*)+")
+_BODY = re.compile(r"\[([^\]]*)\]")
+
+
 def parse_quiddity_text(line):
     """Parse one cycle in the bracketed-multiset format, e.g.
-    ``[3,3,4] [3] [3,3,4,4]``.  ``#`` starts a comment."""
+    ``[3,3,4] [3] [3,3,4,4]``.  ``#`` starts a comment.  A well-formed line
+    is read in one regex pass; where ``int`` or ``make_context`` (sizes
+    below 3, the degree cap) refuse it, the character loop reads it again
+    and alone reports errors."""
     src = line.split("#", 1)[0]
+    if _CYCLE.fullmatch(src):
+        try:
+            A = tuple(tuple(sorted(map(int, body.split(","))))
+                      for body in _BODY.findall(src))
+            return QuiddityCycle._trusted(A, make_context(_sizes(A)))
+        except ValueError:
+            pass
     A = []
     i = 0
     while i < len(src):
@@ -151,9 +168,9 @@ def _cmd_realize(args, out):
 
 
 def _cmd_growth(args, out):
-    Q = _load_quiddity(args.input)
     if args.k < 1:
         raise ValueError("k must be >= 1")
+    Q = _load_quiddity(args.input)
     F = FriezeTable(Q)
     try:
         for k, s in enumerate(growth_coefficients(F, args.k), 1):
@@ -210,6 +227,8 @@ def _cmd_tpaths(args, out):
 
 
 def _cmd_power(args, out):
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     D = _load_dissection(args.input)
     out.write(format_dissection(dissection_power(D, args.k)) + "\n")
     return EXIT_OK
@@ -516,8 +535,10 @@ def _cmd_render(args, out):
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The argument parser, built once per process: building it costs
-    about sixty times as much as parsing one command line with it."""
+    """The argument parser and its verb parsers by name, built once per
+    process: building them costs about sixty times as much as parsing one
+    command line with them.  ``dispatch`` parses a command line that
+    starts with a verb with that verb's parser alone."""
     ap = argparse.ArgumentParser(
         prog="artifact",
         description="Exact frieze patterns, realizability by dissections, "
@@ -566,7 +587,7 @@ def build_parser():
     p = sub.add_parser("render", help="schematic SVG of a dissection")
     p.add_argument("input")
     p.add_argument("--out")
-    return ap
+    return ap, sub.choices
 
 
 _COMMANDS = {
@@ -582,10 +603,24 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv):
+    ap, verbs = build_parser()
+    if argv and argv[0] in verbs:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
 def dispatch(argv, out=None):
+    """Run one command line and return its exit code.  A line that starts
+    with a verb is parsed by that verb's own parser; any other, or one that
+    leaves arguments over, by the whole parser, which writes every usage
+    and error text."""
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

@@ -155,20 +155,24 @@ def test_a_negative_depth_is_refused_before_the_file_is_read(capsys):
     assert capsys.readouterr().err == "error: depth must be >= 0\n"
 
 
+@pytest.mark.parametrize("verb", ["growth", "power"])
+def test_a_nonpositive_k_is_refused_before_the_file_is_read(capsys, verb):
+    assert run([verb, "/nonexistent/file.txt", "--k", "0"]) == (2, "")
+    assert capsys.readouterr().err == "error: k must be >= 1\n"
+
+
 def test_parse_quiddity_text_errors():
     assert list(parse_quiddity_text("[3,4] [5]").A) == [(3, 4), (5,)]
-    with pytest.raises(ValueError):
-        parse_quiddity_text("")
-    with pytest.raises(ValueError):
-        parse_quiddity_text("[3,4")
-    with pytest.raises(ValueError):
-        parse_quiddity_text("[3,x]")
-    with pytest.raises(ValueError):
-        parse_quiddity_text("[2,3]")
-    with pytest.raises(ValueError):
-        parse_quiddity_text("[]")
-    with pytest.raises(ValueError):
-        parse_quiddity_text("3 4")
+    for text, message in [
+            ("", "no multisets found"),
+            ("[3,4", "offset 0: unterminated multiset"),
+            ("[3,x]", "offset 3: expected an integer"),
+            ("[2,3]", "offset 1: subgon size 2 is below 3"),
+            ("[]", "offset 1: expected an integer"),
+            ("3 4", "offset 0: expected '['")]:
+        with pytest.raises(ValueError) as exc:
+            parse_quiddity_text(text)
+        assert str(exc.value) == message, text
 
 
 # quiddity sizes are ASCII [0-9]+ and dissection arguments ASCII -?[0-9]+:
