@@ -42,10 +42,16 @@ class Matching:
         return len(self.choice)
 
 
-def _choice_lists(D, i, j):
+def _choice_lists(D, i, j, budget):
+    """The corner choices at each position strictly inside the window from
+    i to j; raise ``BudgetExceeded`` when a nonempty window has more than
+    ``budget`` matchings."""
     s = D.surface
-    return [D.corner_choices(g % s.n if s.kind == "polygon" else g, "outer")
-            for g in range(i, j - 1)]
+    lists = [D.corner_choices(g % s.n if s.kind == "polygon" else g, "outer")
+             for g in range(i, j - 1)]
+    if j > i and prod(len(c) for c in lists) > budget:
+        raise BudgetExceeded("more than %d matchings" % budget)
+    return lists
 
 
 def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
@@ -56,10 +62,7 @@ def enumerate_matchings(W, i, j, budget=DEFAULT_BUDGET):
         raise ValueError("need j >= i")
     if j == i:
         return
-    lists = _choice_lists(W, i, j)
-    if prod(len(c) for c in lists) > budget:
-        raise BudgetExceeded("more than %d matchings" % budget)
-    for combo in product(*lists):
+    for combo in product(*_choice_lists(W, i, j, budget)):
         yield Matching(i, j, combo)
 
 
@@ -77,10 +80,7 @@ def nonzero_traditional_matchings(D, i, j, budget=DEFAULT_BUDGET):
                          "ordinary dissections")
     if j < i:
         raise ValueError("need j >= i")
-    lists = _choice_lists(D, i, j)
-    if j > i and prod(len(c) for c in lists) > budget:
-        raise BudgetExceeded("more than %d matchings" % budget)
-    return _nonzero_walk(D, i, j, lists)
+    return _nonzero_walk(D, i, j, _choice_lists(D, i, j, budget))
 
 
 def _nonzero_walk(D, i, j, lists):
@@ -172,9 +172,7 @@ def matching_sum(W, i, j, mode="local", budget=DEFAULT_BUDGET):
     check_window(W, mode, i, j)
     if j == i:
         return ctx.zero()
-    lists = _choice_lists(W, i, j)
-    if prod(len(c) for c in lists) > budget:
-        raise BudgetExceeded("more than %d matchings" % budget)
+    lists = _choice_lists(W, i, j, budget)
     sizes = {f.id: f.size for f in W.base_faces}
     if mode == "local":
         return _local_sum(lists, sizes, ctx)

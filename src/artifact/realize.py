@@ -73,11 +73,9 @@ def valid_pchoices(Q):
 # ---------------------------------------------------------------------------
 
 def _layout(Q, pchoice):
-    """(disc, anchors, gaps, gap_p) of a gap-size assignment: whether it
-    gives a punctured disc (every anchor holds two sizes and every gap is
-    p - 2 long), the anchors (0-based positions whose multiset is not a
-    singleton), the boundary gap from each anchor to the next and the size
-    chosen at each gap."""
+    """(anchors, gaps, gap_p) of a gap-size assignment: the anchors (0-based
+    positions whose multiset is not a singleton), the boundary gap from
+    each anchor to the next and the size chosen at each gap."""
     n = Q.n
     anchors = [i for i in range(n) if len(Q.A[i]) > 1]
     if not anchors:
@@ -85,25 +83,19 @@ def _layout(Q, pchoice):
                          "no disc or annulus construction applies")
     gaps = [(b - a) % n or n
             for a, b in zip(anchors, anchors[1:] + anchors[:1])]
-    gap_p = [pchoice[a] for a in anchors]
-    disc = (all(len(Q.A[a]) == 2 for a in anchors)
-            and all(p - 2 == g for p, g in zip(gap_p, gaps)))
-    return disc, anchors, gaps, gap_p
+    return anchors, gaps, [pchoice[a] for a in anchors]
 
 
 def _construct(Q, pchoice):
     """Build the dissection realizing a skeletal cycle from a fixed gap-size
-    assignment.  Returns ("disc", D) or ("annulus", D)."""
+    assignment.  Returns ("disc", D) when the layout climbs to height 0,
+    else ("annulus", D)."""
     n = Q.n
-    disc, anchors, gaps, gap_p = _layout(Q, pchoice)
-    if disc:
-        arcs = [Arc("bridge_disc", a + 1) for a in anchors]
-        return "disc", build_dissection(punctured_disc(n), arcs)
-
-    # annulus: one period of the inner boundary, left to right; an arc
-    # ends at height y, each further size r of its anchor climbs r - 2 and
-    # a gap of length g with size p climbs p - 2 - g, so the climb of the
-    # whole period is the number m of inner vertices
+    anchors, gaps, gap_p = _layout(Q, pchoice)
+    # one period of the inner boundary, left to right; an arc ends at
+    # height y, each further size r of its anchor climbs r - 2 and a gap of
+    # length g with size p climbs p - 2 - g; the climb of the period is the
+    # number m of inner vertices, and m = 0 leaves a punctured disc
     y, ends = 0, []
     for j, a in enumerate(anchors):
         R = list(Q.A[a])
@@ -121,30 +113,31 @@ def _construct(Q, pchoice):
             raise ValueError("cycle is not skeletal at position %d" % (a + 1))
         y += gap_p[j] - 2 - gaps[j]
     m = y
+    if not m:
+        arcs = [Arc("bridge_disc", a + 1) for a in anchors]
+        return "disc", build_dissection(punctured_disc(n), arcs)
     arcs = [_arc_of("bridge", ("b", a), ("t", y), n, m) for a, y in ends]
     return "annulus", build_dissection(annulus(n, m), arcs)
 
 
 def skeletal_realize(Q):
-    """Realize a skeletal cycle passing the quiddity-level test.
+    """Realize a skeletal cycle passing the quiddity-level test from its
+    first clash-free gap-size assignment.
 
-    Returns ("disc", D), ("annulus", D), or ("no_valid_choice", None).
-    When both disc- and annulus-shaped choices exist the disc wins.
+    Returns ("disc", D), ("annulus", D), or ("no_valid_choice", None).  The
+    layout's height m is a sum of terms >= 0 that all vanish only when
+    every anchor holds just its two gaps' sizes, and then every clash-free
+    assignment has the same sum of sizes, so all of them give one shape.
     """
     verdict = realizability_test(Q)
     if not verdict.ok:
         raise ValueError("cycle fails the realizability test (%s)" % verdict.reason)
     if not is_skeletal_quiddity(Q):
         raise ValueError("cycle is not skeletal")
-    first = None
-    for pchoice in valid_pchoices(Q):
-        if _layout(Q, pchoice)[0]:
-            return _construct(Q, pchoice)
-        if first is None:
-            first = pchoice
-    if first is None:
+    pchoice = next(valid_pchoices(Q), None)
+    if pchoice is None:
         return "no_valid_choice", None
-    return _construct(Q, first)
+    return _construct(Q, pchoice)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +302,8 @@ def _classify(Q):
     result.cut_trace = trace
     if steps:
         result.witness = glue_ears(result.witness, steps)
-        s = result.witness.base.surface
-        result.n, result.m = s.n, (s.m if s.kind == "annulus" else None)
+    s = result.witness.base.surface
+    result.n, result.m = s.n, (s.m if s.kind == "annulus" else None)
     # the multisets alone: a ring context would refuse a bad witness's
     # sizes past the degree cap with a ValueError, which exits 2, not 3
     derived = _corner_multisets(result.witness)
@@ -324,22 +317,19 @@ def _classify_core(Q):
     """Classify a cycle that passes the test and has no ear left to cut."""
     if all(len(a) == 1 for a in Q.A):     # it passed the test: [n]^n
         witness = build_dissection(polygon(Q.n), [])
-        return Classification("polygon", n=Q.n, witness=witness)
+        return Classification("polygon", witness=witness)
 
     kind, D = skeletal_realize(Q)
     if kind == "no_valid_choice":
-        QD = quotient_realize(Q)
-        s = QD.base.surface
-        return Classification("quotient_annulus", n=s.n, m=s.m, witness=QD)
+        return Classification("quotient_annulus", witness=quotient_realize(Q))
 
     # cross-check the disc/annulus split against the first growth coefficient
     is_disc_by_growth = FriezeTable(Q).trace() == Q.context.from_int(2)
     if is_disc_by_growth != (kind == "disc"):
         raise AssertionError("surface shape disagrees with the growth "
                              "coefficient criterion")
-    if kind == "disc":
-        return Classification("punctured_disc", n=D.surface.n, witness=D)
-    return Classification("annulus", n=D.surface.n, m=D.surface.m, witness=D)
+    return Classification("punctured_disc" if kind == "disc" else "annulus",
+                          witness=D)
 
 
 # ---------------------------------------------------------------------------

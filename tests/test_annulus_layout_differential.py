@@ -8,7 +8,8 @@ give the same surface and arcs, or the same ValueError, on every gap-size
 assignment, valid or not, of every cycle of length n <= 3 over the
 multisets of one to three sizes from {3, 4, 5}, and of length n <= 2 over
 those of one to five, where an anchor keeps two sizes or more besides its
-gaps' and their order shows.
+gaps' and their order shows.  Where ``_construct`` draws a punctured
+disc, the layout climbs to height 0, which the oracle must refuse.
 """
 
 import itertools
@@ -23,11 +24,14 @@ def _multisets(most):
             for m in itertools.combinations_with_replacement((3, 4, 5), k)]
 
 
+DEGENERATE = ("inner boundary degenerates to no vertices; "
+              "the cycle has no annulus realization of this shape")
+
+
 def annulus_by_nodes(Q, pchoice):
-    """(surface, arcs) of the annulus layout of a gap-size assignment that
-    ``_layout`` does not call a disc."""
+    """(surface, arcs) of the annulus layout of a gap-size assignment."""
     n = Q.n
-    _disc, anchors, gaps, gap_p = _layout(Q, pchoice)
+    anchors, gaps, gap_p = _layout(Q, pchoice)
     l = len(anchors)
     nodes = []            # ("arc", anchor 0-based) or ("fill",)
     merges = set()        # adjacent node index pairs carrying one vertex
@@ -70,8 +74,7 @@ def annulus_by_nodes(Q, pchoice):
         ys.append(y)
     m = ys[-1] if wrap_merge else ys[-1] + 1
     if m < 1:
-        raise ValueError("inner boundary degenerates to no vertices; "
-                         "the cycle has no annulus realization of this shape")
+        raise ValueError(DEGENERATE)
 
     arcs = []
     for (kind, *rest), y in zip(nodes, ys):
@@ -96,19 +99,22 @@ def test_one_pass_layout_matches_the_node_layout(monkeypatch):
     # the arcs as laid out, before a dissection checks them
     monkeypatch.setattr(realize, "build_dissection",
                         lambda surface, arcs: (surface, arcs))
-    kinds = {"annulus": 0, "ValueError": 0}
+    kinds = {"annulus": 0, "ValueError": 0, "disc": 0}
     for n, most in ((1, 5), (2, 5), (3, 3)):
         for A in itertools.product(_multisets(most), repeat=n):
             Q = quiddity_new(A)
             if all(len(a) == 1 for a in A):
                 continue              # no anchor: polygon friezes
             for pchoice in all_pchoices(Q):
-                if _layout(Q, pchoice)[0]:
-                    continue          # the disc layout is not the oracle's
                 got = _outcome(realize._construct, Q, pchoice)
                 want = _outcome(annulus_by_nodes, Q, pchoice)
+                if got[0] == "disc":
+                    assert want == ("ValueError", DEGENERATE), (A, pchoice)
+                    kinds["disc"] += 1
+                    continue
                 if got[0] == "annulus":
                     got = got[1]
                 assert got == want, (A, pchoice)
                 kinds[want[0] if want[0] == "ValueError" else "annulus"] += 1
-    assert min(kinds.values()) > 1000, kinds
+    assert kinds["disc"] == 11, kinds
+    assert min(kinds["annulus"], kinds["ValueError"]) > 1000, kinds

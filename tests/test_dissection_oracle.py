@@ -1,0 +1,172 @@
+"""An exhaustive dissection oracle for the classifier's verdicts.
+
+Every dissection with faces of sizes 3, 4 and 5 is listed for the
+polygons with n <= 9 (the dissected polygons of Holm and Jørgensen, the
+ground truth for the polygon part), the punctured discs with n <= 5 and
+the annuli with n + m <= 6.  The search backtracks over sets of pairwise
+non-crossing arcs: diagonals, bridges with shift 0 or 1 (every class up
+to Dehn twist has such a representative), arcs to the puncture and
+peripheral arcs.  ``Dissection`` refuses the sets that do not tile the
+surface.  Each outer quiddity found must classify with the kind of its
+surface.
+
+The converse runs on the short cycles, those of length 1-3 over the
+multisets of one to three sizes from {3, 4, 5}, restricted to the cycles
+whose every realization the search lists.  A polygon or a punctured disc
+realizing a short cycle has n <= 3.  For an annulus, the faces satisfy
+sum (p_f - 2) = n + m (Euler), and each face holds an outer corner where
+its size is counted, so n + m <= S - 2c, where S is the sum of the
+cycle's sizes and c the number of its outer corners.  A cycle with
+S - 2c <= 6 is covered, and it is found by the search exactly when it
+classifies ``polygon``, ``punctured_disc`` or ``annulus``; in particular
+no ``unrealizable`` or ``quotient_annulus`` verdict is found.  The finite
+friezes with a quotient verdict unroll to 8-, 9- and 12-gon cycles; the
+ones with n <= 9 are not the quiddity of any dissected polygon.
+
+Limits: the search shares the arc model, the face walk and the corner
+count with ``artifact.surface``, so what is independent of the classifier
+is the search, not the surface model.  Quotient dissections are not
+listed: their witness post-condition stays their only check.
+"""
+
+from collections import Counter
+from itertools import combinations_with_replacement, product
+
+import pytest
+
+from artifact import (Arc, Dissection, FriezeTable, annulus,
+                      classify_realizability, polygon, punctured_disc,
+                      quiddity_new, quiddity_of)
+from artifact.surface import chords_cross
+
+KIND = {"polygon": "polygon", "disc": "punctured_disc", "annulus": "annulus"}
+
+TOP = 10 ** 6     # the top line's place on the strip window's boundary
+
+
+def _place(arc, k, n, m):
+    """The ends of lift k of an arc, as places along the boundary of a
+    strip window: the bottom line rightward, then the top line leftward,
+    with the puncture past both."""
+    x = arc.a - 1 + k * n
+    if arc.kind == "bridge":
+        return x, TOP - (arc.b - 1 + (arc.shift + k) * m)
+    if arc.kind == "bridge_disc":
+        return x, 2 * TOP
+    return x, arc.b - 1 + k * n + (n if arc.b <= arc.a else 0)
+
+
+def _crosses(s, u, v):
+    if s.kind == "polygon":
+        return chords_cross(u.a, u.b, v.a, v.b)
+    # lifts more than two periods apart do not meet, and lift k of v
+    # crosses lift 0 of u when lift -k of u crosses lift 0 of v
+    p, q = _place(u, 0, s.n, s.m)
+    return any(chords_cross(p, q, *_place(v, k, s.n, s.m))
+               for k in range(-2, 3))
+
+
+def _candidates(s):
+    n, m = s.n, s.m
+    if s.kind == "polygon":
+        return [Arc("diag", a, b) for a in range(1, n + 1)
+                for b in range(a + 2, n + 1) if (a, b) != (1, n)]
+    peri = [Arc("peri", a, b) for a in range(1, n + 1)
+            for b in range(1, n + 1) if (b - a) % n != 1]
+    if s.kind == "disc":
+        return [Arc("bridge_disc", a) for a in range(1, n + 1)] + peri
+    return [Arc("bridge", a, b, t) for a in range(1, n + 1)
+            for b in range(1, m + 1) for t in (0, 1)] + peri
+
+
+def dissections(s):
+    """Every dissection of s with faces of sizes 3, 4 and 5.  A face has
+    size >= 3, so a polygon has at most n - 3 arcs, a disc n and an
+    annulus n + m."""
+    arcs = _candidates(s)
+    most = s.n - 3 if s.kind == "polygon" else s.n + s.m
+    apart = [[not _crosses(s, u, v) for v in arcs] for u in arcs]
+    chosen = []
+
+    def walk(start):
+        try:
+            D = Dissection(s, [arcs[i] for i in chosen])
+        except ValueError:
+            D = None
+        if D is not None and all(f.size <= 5 for f in D.base_faces):
+            yield D
+        if len(chosen) == most:
+            return
+        for i in range(start, len(arcs)):
+            if all(apart[i][j] for j in chosen):
+                chosen.append(i)
+                yield from walk(i + 1)
+                chosen.pop()
+
+    return walk(0)
+
+
+def surfaces():
+    return ([polygon(n) for n in range(3, 10)]
+            + [punctured_disc(n) for n in range(1, 6)]
+            + [annulus(n, m) for n in range(1, 6) for m in range(1, 7 - n)])
+
+
+def outer_quiddities():
+    """Each outer quiddity of the search, with the kind of its surface."""
+    found = {}
+    for s in surfaces():
+        for D in dissections(s):
+            A = quiddity_of(D).A
+            if s.kind == "annulus":
+                S, c = sum(map(sum, A)), sum(map(len, A))
+                assert s.n + s.m <= S - 2 * c, (s, A)
+            assert found.setdefault(A, s.kind) == s.kind, A
+    return found
+
+
+SHORT = [A for n in (1, 2, 3)
+         for A in product([ms for k in (1, 2, 3) for ms in
+                           combinations_with_replacement((3, 4, 5), k)],
+                          repeat=n)]
+
+
+@pytest.fixture(scope="module")
+def found():
+    return outer_quiddities()
+
+
+def test_every_dissection_classifies_with_its_surface_kind(found):
+    for A, kind in found.items():
+        assert classify_realizability(quiddity_new(A)).kind == KIND[kind], A
+    assert Counter(found.values()) == {"polygon": 5049, "disc": 802,
+                                       "annulus": 3556}
+
+
+def test_a_covered_short_cycle_is_found_iff_it_is_ordinary(found):
+    verdicts = Counter()
+    for A in SHORT:
+        if sum(map(sum, A)) - 2 * sum(map(len, A)) > 6:
+            continue
+        kind = classify_realizability(quiddity_new(A)).kind
+        present = A in found
+        assert present == (kind in KIND.values()), (A, kind)
+        verdicts[kind] += 1
+    assert verdicts == {"polygon": 1, "punctured_disc": 5, "annulus": 13,
+                        "quotient_annulus": 14, "unrealizable": 123}
+
+
+def test_no_polygon_realizes_an_unrolled_finite_quotient_frieze(found):
+    unrolled = set()
+    for A in SHORT:
+        Q = quiddity_new(A)
+        w = FriezeTable(Q).width
+        if (w is None
+                or classify_realizability(Q).kind != "quotient_annulus"):
+            continue
+        g = next(g for g in range(1, Q.n + 1) if A[g:] + A[:g] == A)
+        unrolled.add(A[:g] * ((w + 3) // g))
+    assert sorted(map(len, unrolled)) == [8, 8, 9, 9, 9] + [12] * 6
+    for U in unrolled:
+        if len(U) <= 9:
+            assert U not in found, U

@@ -6,12 +6,15 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from artifact import (FriezeTable, check_positivity, classify_realizability,
-                      format_dissection,
-                      glue, growth_coefficient, polygon, quiddity_new, quiddity_of,
+from artifact import (Arc, FriezeTable, build_dissection, check_positivity,
+                      classify_realizability, format_dissection,
+                      glue, growth_coefficient, polygon, punctured_disc,
+                      quiddity_new, quiddity_of,
                       quotient_realize, skeletal_realize, sign_of,
                       valid_pchoices, witness_nonuniqueness_probe)
+from artifact.realize import _construct, _layout, _reduce
 from conftest import random_disc
+from test_annulus_layout_differential import annulus_by_nodes
 
 
 MULTISET = {"3": (3, 3, 3), "2+r2": (3, 3, 4),
@@ -131,6 +134,60 @@ def test_witness_probe_multiple_choices():
     for D in seen:
         assert list(quiddity_of(D).A) == list(Q.A)
     assert len({format_dissection(D) for D in seen}) == len(seen)
+
+
+def disc_first_realize(Q):
+    """The rule ``skeletal_realize`` replaced, kept as its oracle: the first
+    clash-free choice that is disc-shaped (every anchor holds two sizes and
+    every gap is p - 2 long), else the first clash-free choice, laid out
+    as an annulus by the node layout."""
+    first = None
+    for pchoice in valid_pchoices(Q):
+        anchors, gaps, gap_p = _layout(Q, pchoice)
+        if (all(len(Q.A[a]) == 2 for a in anchors)
+                and all(p - 2 == g for p, g in zip(gap_p, gaps))):
+            arcs = [Arc("bridge_disc", a + 1) for a in anchors]
+            return "disc", build_dissection(punctured_disc(Q.n), arcs)
+        if first is None:
+            first = pchoice
+    if first is None:
+        return "no_valid_choice", None
+    return "annulus", build_dissection(*annulus_by_nodes(Q, first))
+
+
+def short_skeletal_cores():
+    """The distinct skeletal cores with an anchor that the ear cuts reach
+    from the cycles of length 1-3 over the multisets of one to three sizes
+    from {3, 4, 5}, and of length 4 over those of one or two."""
+    cores = set()
+    for n, most in ((1, 3), (2, 3), (3, 3), (4, 2)):
+        sets = [ms for k in range(1, most + 1)
+                for ms in combinations_with_replacement((3, 4, 5), k)]
+        for A in product(sets, repeat=n):
+            core, _trace, _steps, reason = _reduce(A)
+            if reason is None and any(len(a) > 1 for a in core):
+                cores.add(core)
+    return sorted(cores)
+
+
+def test_first_clash_free_choice_matches_the_disc_first_rule():
+    # the first clash-free choice builds what the disc-first walk built,
+    # because no core has both a disc- and an annulus-shaped choice
+    kinds, several = Counter(), 0
+    for core in short_skeletal_cores():
+        Q = quiddity_new(core)
+        kind, D = skeletal_realize(Q)
+        want_kind, want = disc_first_realize(Q)
+        assert kind == want_kind, core
+        if D is not None:
+            assert format_dissection(D) == format_dissection(want), core
+        choices = list(valid_pchoices(Q))
+        shapes = {_construct(Q, pc)[0] for pc in choices}
+        assert shapes == ({kind} if choices else set()), core
+        kinds[kind] += 1
+        several += len(choices) > 1
+    assert kinds == {"disc": 22, "annulus": 1900, "no_valid_choice": 1673}
+    assert several == 353
 
 
 def test_skeletal_coverage_random(rng):
