@@ -37,28 +37,48 @@ def _gap_choices(Q):
     return out
 
 
+def _clash(a, p, q):
+    """Whether sizes p and q on both gaps of a vertex with multiset a clash:
+    p = q, a is not a singleton, yet p appears in a only once."""
+    return len(a) > 1 and p == q and a.count(p) < 2
+
+
 def _violations(Q, pchoice):
-    """0-based indices where the chosen sizes clash: both neighbouring gaps
-    of v_i carry the same size p, the multiset at v_i is not a singleton,
-    yet p appears there only once."""
-    n = Q.n
-    bad = []
-    for i in range(n):
-        p_left = pchoice[(i - 1) % n]
-        p_right = pchoice[i]
-        if len(Q.A[i]) > 1 and p_left == p_right and Q.A[i].count(p_left) < 2:
-            bad.append(i)
-    return bad
+    """0-based indices i where the sizes chosen on both gaps of v_i clash."""
+    return [i for i in range(Q.n)
+            if _clash(Q.A[i], pchoice[i - 1], pchoice[i])]
+
+
+def _fewest_clashes(Q):
+    """(pchoice, bad): the lexicographically first gap-size assignment with
+    the fewest clashes and its clashing indices.  A clash at v_i reads only
+    gaps i - 1 and i, so for each size x at gap 0 a backward pass keeps, per
+    size at gap i, the fewest clashes at v_{i+1}, ..., v_{n-1}, v_0, and the
+    smallest sizes keeping them are read forward: O(n k^3) for k candidates
+    per gap.  Raises ValueError when a gap has no candidate."""
+    n, A, choices = Q.n, Q.A, _gap_choices(Q)
+    if not all(choices):
+        raise ValueError("cycle fails the realizability test")
+    fewest = n + 1
+    for x in choices[0]:
+        cost = [None] * n + [{x: 0}]
+        for i in range(n - 1, -1, -1):
+            cost[i] = {c: min(_clash(A[(i + 1) % n], c, d) + k
+                              for d, k in cost[i + 1].items())
+                       for c in choices[i]}
+        if cost[0][x] < fewest:
+            fewest, pchoice, kept = cost[0][x], [x], cost
+    for i in range(1, n):
+        p = pchoice[-1]
+        pchoice.append(next(d for d, k in kept[i].items()
+                            if _clash(A[i], p, d) + k == kept[i - 1][p]))
+    return tuple(pchoice), _violations(Q, pchoice)
 
 
 def all_pchoices(Q):
     """All gap-size assignments (lexicographic order).  pchoice[i] is the
     size shared between v_{i+1} and v_{i+2}, 0-based."""
-    choices = _gap_choices(Q)
-    if any(not c for c in choices):
-        return
-    for combo in product(*choices):
-        yield combo
+    return product(*_gap_choices(Q))
 
 
 def valid_pchoices(Q):
@@ -134,8 +154,8 @@ def skeletal_realize(Q):
         raise ValueError("cycle fails the realizability test (%s)" % verdict.reason)
     if not is_skeletal_quiddity(Q):
         raise ValueError("cycle is not skeletal")
-    pchoice = next(valid_pchoices(Q), None)
-    if pchoice is None:
+    pchoice, bad = _fewest_clashes(Q)
+    if bad:
         return "no_valid_choice", None
     return _construct(Q, pchoice)
 
@@ -147,12 +167,7 @@ def skeletal_realize(Q):
 def quotient_realize(Q):
     """Quotient-dissection witness for a skeletal cycle that passes the test
     but admits no clash-free gap-size assignment."""
-    # the first choice with the fewest clashes
-    best = min(((c, _violations(Q, c)) for c in all_pchoices(Q)),
-               key=lambda cb: len(cb[1]), default=None)
-    if best is None:
-        raise ValueError("cycle fails the realizability test")
-    pchoice, bad = best
+    pchoice, bad = _fewest_clashes(Q)
     if not bad:
         raise ValueError("cycle admits an ordinary realization; "
                          "no quotient needed")

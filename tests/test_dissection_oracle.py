@@ -23,10 +23,18 @@ no ``unrealizable`` or ``quotient_annulus`` verdict is found.  The finite
 friezes with a quotient verdict unroll to 8-, 9- and 12-gon cycles; the
 ones with n <= 9 are not the quiddity of any dissected polygon.
 
+Quotient dissections are listed the same way: every single
+identification ``make_quotient`` accepts on the annulus dissections above.
+No quotient outer cycle classifies ``unrealizable`` or ``polygon``.  The
+converse is checked on the short ``quotient_annulus`` cycles with
+S - 2c <= 6, which are all found, but it is not proved complete: the
+Euler bound holds for ordinary annuli, and a quotient counts identified
+corners once, so a short quotient cycle may need a larger annulus or more
+than one identification.
+
 Limits: the search shares the arc model, the face walk and the corner
 count with ``artifact.surface``, so what is independent of the classifier
-is the search, not the surface model.  Quotient dissections are not
-listed: their witness post-condition stays their only check.
+is the search, not the surface model.
 """
 
 from collections import Counter
@@ -35,8 +43,10 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from artifact import (Arc, Dissection, FriezeTable, annulus,
-                      classify_realizability, polygon, punctured_disc,
-                      quiddity_new, quiddity_of)
+                      check_positivity, classify_realizability,
+                      make_quotient, polygon, punctured_disc, quiddity_new,
+                      quiddity_of)
+from artifact import realize
 from artifact.surface import chords_cross
 
 KIND = {"polygon": "polygon", "disc": "punctured_disc", "annulus": "annulus"}
@@ -170,3 +180,83 @@ def test_no_polygon_realizes_an_unrolled_finite_quotient_frieze(found):
     for U in unrolled:
         if len(U) <= 9:
             assert U not in found, U
+
+
+def quotient_outer_cycles():
+    """The number of quotients that one identification makes on the annulus
+    dissections of the search, and their distinct outer quiddities.  A glue
+    (a, b, delta) joins lifts delta periods apart at a shared outer vertex,
+    so |delta| n is at most the spread of the bottom coordinates."""
+    built, cycles = 0, set()
+    for s in surfaces():
+        if s.kind != "annulus":
+            continue
+        for D in dissections(s):
+            xs = [x for f in D.base_faces for x in f.bottom_coords()]
+            reach = (max(xs) - min(xs)) // s.n
+            for a, b in combinations_with_replacement(
+                    range(len(D.base_faces)), 2):
+                glues = [(a, b, d) for d in range(-reach, reach + 1)
+                         if d or a != b] + ([(a, b)] if a != b else [])
+                for glue in glues:
+                    try:
+                        QD = make_quotient(D, [glue])
+                    except ValueError:
+                        continue
+                    built += 1
+                    cycles.add(quiddity_of(QD).A)
+    return built, cycles
+
+
+def verdicts(cycles):
+    return Counter(classify_realizability(quiddity_new(A)).kind
+                   for A in cycles)
+
+
+@pytest.fixture(scope="module")
+def quotient_found():
+    return quotient_outer_cycles()
+
+
+def test_no_quotient_cycle_classifies_unrealizable_or_polygon(quotient_found):
+    built, cycles = quotient_found
+    assert (built, len(cycles)) == (10785, 1485)
+    assert verdicts(cycles) == {"quotient_annulus": 647, "punctured_disc": 474,
+                                "annulus": 364}
+    nonpositive = {A for A in cycles
+                   if check_positivity(FriezeTable(quiddity_new(A))).kind
+                   != "provably_positive"}
+    assert len(nonpositive) == 44
+    assert verdicts(nonpositive) == {"quotient_annulus": 44}
+    assert {((5,), (5,), (4, 5)), ((5,), (4, 5), (5,)),
+            ((4, 5), (5,), (5,))} <= nonpositive
+
+
+def test_the_covered_short_quotient_cycles_are_found(quotient_found):
+    cycles = quotient_found[1]
+    quotients = [A for A in SHORT if classify_realizability(
+        quiddity_new(A)).kind == "quotient_annulus"]
+    covered = [A for A in quotients
+               if sum(map(sum, A)) - 2 * sum(map(len, A)) <= 6]
+    assert len(covered) == 14
+    assert all(A in cycles for A in covered)
+    assert (len(quotients), sum(A in cycles for A in quotients)) == (1245, 113)
+
+
+def test_quotient_oracle_catches_refused_quotients(quotient_found,
+                                                   monkeypatch):
+    """A mutant that turns no_valid_choice into an unrealizable verdict."""
+    classify = realize._classify
+
+    def mutant(Q):
+        cls, core, steps = classify(Q)
+        if cls.kind == "quotient_annulus":
+            cls = realize.Classification("unrealizable",
+                                         reason="no_valid_choice",
+                                         cut_trace=cls.cut_trace)
+        return cls, core, steps
+
+    monkeypatch.setattr(realize, "_classify", mutant)
+    assert verdicts(quotient_found[1]) == {"unrealizable": 647,
+                                           "punctured_disc": 474,
+                                           "annulus": 364}
