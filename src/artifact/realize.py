@@ -16,9 +16,9 @@ from typing import Optional
 from .frieze import (QuiddityCycle, FriezeTable, realizability_test,
                      is_skeletal_quiddity, _realizability_verdict, _runs_from,
                      _meets, _cut_in_place)
-from .surface import (Arc, annulus, punctured_disc, polygon,
-                      build_dissection, make_quotient, glue_ears,
-                      _arc_of, _corner_multisets)
+from .surface import (Dissection, annulus, punctured_disc, polygon,
+                      make_quotient, glue_ears, _INF, _arc_of,
+                      _corner_multisets)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,17 @@ def _construct(Q, pchoice):
             raise ValueError("cycle is not skeletal at position %d" % (a + 1))
         y += gap_p[j] - 2 - gaps[j]
     m = y
-    if not m:
-        arcs = [Arc("bridge_disc", a + 1) for a in anchors]
-        return "disc", build_dissection(punctured_disc(n), arcs)
-    arcs = [_arc_of("bridge", ("b", a), ("t", y), n, m) for a, y in ends]
-    return "annulus", build_dissection(annulus(n, m), arcs)
+    surface = annulus(n, m) if m else punctured_disc(n)
+    arcs = [_arc_of("bridge", ("b", a), ("t", y), n, m) if m
+            else _arc_of("bridge_disc", ("b", a), _INF, n, m)
+            for a, y in ends]
+    # consecutive bridge ends (a, y), (b, w) bound the face from v_a to v_b
+    # along the bottom, then from w down to y along the top or the puncture
+    faces = [tuple(("b", x) for x in range(a, b + 1))
+             + (tuple(("t", z) for z in range(w, y - 1, -1)) if m else (_INF,))
+             for (a, y), (b, w) in zip(ends, ends[1:] + [(anchors[0] + n, m)])]
+    return surface.kind, Dissection._assemble(surface, arcs, faces,
+                                              check_arcs=True)
 
 
 def skeletal_realize(Q):
@@ -149,15 +155,18 @@ def skeletal_realize(Q):
     every anchor holds just its two gaps' sizes, and then every clash-free
     assignment has the same sum of sizes, so all of them give one shape.
     """
+    pchoice, bad = _first_choice(Q)
+    return ("no_valid_choice", None) if bad else _construct(Q, pchoice)
+
+
+def _first_choice(Q):
+    """``_fewest_clashes`` of a skeletal cycle that passes the test."""
     verdict = realizability_test(Q)
     if not verdict.ok:
         raise ValueError("cycle fails the realizability test (%s)" % verdict.reason)
     if not is_skeletal_quiddity(Q):
         raise ValueError("cycle is not skeletal")
-    pchoice, bad = _fewest_clashes(Q)
-    if bad:
-        return "no_valid_choice", None
-    return _construct(Q, pchoice)
+    return _fewest_clashes(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +180,18 @@ def quotient_realize(Q):
     if not bad:
         raise ValueError("cycle admits an ordinary realization; "
                          "no quotient needed")
+    return _quotient(Q, pchoice, bad)
 
+
+def _quotient(Q, pchoice, bad):
+    """Q's quotient witness from its ``_fewest_clashes`` (pchoice, bad)."""
     # each clashing entry is widened by one extra copy of its gap size;
     # the two variants differ in whether the flanking subgons are glued
     # with the full shared-vertex closure or only at the clashing vertex
-    A_hat = [list(a) for a in Q.A]
+    A_hat = list(Q.A)
     for j in bad:
-        A_hat[j] = sorted(A_hat[j] + [pchoice[j]])
-    Q_hat = QuiddityCycle([tuple(a) for a in A_hat], Q.context)
+        A_hat[j] = tuple(sorted(A_hat[j] + (pchoice[j],)))
+    Q_hat = QuiddityCycle._trusted(tuple(A_hat), Q.context)  # Q's sizes
     try:
         # a widened entry holds three sizes or more: never a disc
         D = _construct(Q_hat, pchoice)[1]
@@ -331,12 +344,15 @@ def _classify(Q):
 def _classify_core(Q):
     """Classify a cycle that passes the test and has no ear left to cut."""
     if all(len(a) == 1 for a in Q.A):     # it passed the test: [n]^n
-        witness = build_dissection(polygon(Q.n), [])
+        witness = Dissection._assemble(polygon(Q.n), [], [tuple(
+            ("b", x) for x in range(Q.n))], check_arcs=True)
         return Classification("polygon", witness=witness)
 
-    kind, D = skeletal_realize(Q)
-    if kind == "no_valid_choice":
-        return Classification("quotient_annulus", witness=quotient_realize(Q))
+    pchoice, bad = _first_choice(Q)
+    if bad:
+        return Classification("quotient_annulus",
+                              witness=_quotient(Q, pchoice, bad))
+    kind, D = _construct(Q, pchoice)
 
     # cross-check the disc/annulus split against the first growth coefficient
     is_disc_by_growth = FriezeTable(Q).trace() == Q.context.from_int(2)

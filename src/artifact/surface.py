@@ -17,9 +17,10 @@ is one period whose boundary closes up, so all its voltages are 0.
 
 Ears and relabellings compose into one vertex map (``glue_ears``), of
 which gluing one ear and rotating the labels are one-step forms.  Only
-parsed input and skeletal cores are walked: a glued dissection's faces are
-assembled from the faces it glues onto, moved by the map, and one face per
-ear, and a power's from its base faces, translated.
+parsed input is walked: a skeletal core's faces are read off its layout,
+and its arcs still get the walk's arc check; a glued dissection's faces
+are those it glues onto, moved by the map, plus one per ear, and a
+power's are its base faces, translated.
 
 Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
@@ -223,12 +224,15 @@ class Dissection:
         self._compute_faces()
 
     @classmethod
-    def _assemble(cls, surface, arcs, faces):
+    def _assemble(cls, surface, arcs, faces, check_arcs=False):
         """A dissection with known faces, each from its leftmost bottom vertex
-        in [0, n): validated, numbered and checked to tile, not walked."""
+        in [0, n): validated, numbered and checked to tile, not walked; with
+        ``check_arcs``, its arcs are checked as the walk checks them."""
         D = cls.__new__(cls)
         D._set_arcs(surface, arcs)
         D._set_faces(faces)
+        if check_arcs:
+            D._check_arcs()
         return D
 
     def _set_arcs(self, surface, arcs):
@@ -301,6 +305,23 @@ class Dissection:
         n, m = self.surface.n, self.surface.m
         self._set_faces(_normal_face(f, n, m)[0] for f in self._walk_faces())
 
+    def _check_arcs(self):
+        """Raise on duplicate arcs, on arcs parallel to a boundary edge and
+        on crossing arcs; returns the chords of lifts -2..2 of the arcs."""
+        n, m = self.surface.n, self.surface.m
+        # two crossing lifts lie at most one period apart, so lifts -2..2 show
+        # every crossing; positions run rightward along the bottom, then
+        # leftward along the top from past the bottom, or to the puncture
+        chords = self._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
+        # a diagonal listed both ways round lifts to the same chord twice
+        if len(set(chords)) < len(chords) or any(
+                q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
+            raise ValueError("duplicate arc or arc parallel to a boundary edge")
+        top = 3 * n + 4 * m
+        _check_nesting([(p[1], -q[1] if q[0] == "b" else
+                         (q[1] if q[0] == "t" else 0) - top) for p, q in chords])
+        return chords
+
     def _set_faces(self, faces):
         faces = sorted(faces, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
                                                         for v in vs]))
@@ -316,17 +337,7 @@ class Dissection:
         itself: its boundary closes up and every voltage is 0."""
         s = self.surface
         n, m = s.n, s.m
-        # two crossing lifts lie at most one period apart, so lifts -2..2 show
-        # every crossing; positions run rightward along the bottom, then
-        # leftward along the top from past the bottom, or to the puncture
-        chords = self._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
-        # a diagonal listed both ways round lifts to the same chord twice
-        if len(set(chords)) < len(chords) or any(
-                q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
-            raise ValueError("duplicate arc or arc parallel to a boundary edge")
-        top = 3 * n + 4 * m
-        _check_nesting([(p[1], -q[1] if q[0] == "b" else
-                         (q[1] if q[0] == "t" else 0) - top) for p, q in chords])
+        chords = self._check_arcs()
         # each base vertex's neighbours, seen from its lift at shift 0, in
         # counterclockwise order; the puncture keeps its bridges of all five
         # lifts, so a turn past a period's first reaches the last one before
@@ -635,13 +646,15 @@ def _corner_multisets(D, boundary="outer"):
             raise ValueError("inner boundary only exists on annuli")
         # read counterclockwise with respect to the inner boundary, which
         # reverses the strip direction
-        labels = range(s.m, 0, -1)
+        labels, table = range(s.m, 0, -1), D.inner_corners
     else:
-        labels = range(1, s.n + 1)
-    return tuple(
-        tuple(sorted(D.face(fid).size
-                     for _key, fid, _t in D.corner_choices(i - 1, boundary)))
-        for i in labels)
+        labels, table = range(1, s.n + 1), D.outer_corners
+    if D.is_quotient():   # identified lifts at one vertex count once
+        table = {i: [c[1:] for c in D.corner_choices(i - 1, boundary)]
+                 for i in labels}
+    size = [f.size for f in D.base_faces]
+    return tuple(tuple(sorted(size[fid] for fid, _t in table[i]))
+                 for i in labels)
 
 
 def quiddity_of(D, boundary="outer"):
@@ -756,7 +769,8 @@ def glue_ears(D, steps):
         # the ear's vertices follow u's label, the last at most a period on
         x = label[u]
         ear = [x] + [x + (label[w] - x - 1) % N + 1 for w in rest]
-        faces.append(_normal_face([bottom(y) for y in ear], N, m)[0])
+        ear = tuple(map(bottom, ear))  # on a strip, from x in [0, N)
+        faces.append(_normal_face(ear, N, m)[0] if closed else ear)
     new = Dissection._assemble(Surface(s.kind, N, m), arcs, faces)
     if not D.is_quotient():
         return new

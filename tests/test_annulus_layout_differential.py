@@ -97,8 +97,8 @@ def _outcome(f, *args):
 
 def test_one_pass_layout_matches_the_node_layout(monkeypatch):
     # the arcs as laid out, before a dissection checks them
-    monkeypatch.setattr(realize, "build_dissection",
-                        lambda surface, arcs: (surface, arcs))
+    monkeypatch.setattr(realize.Dissection, "_assemble", classmethod(
+        lambda cls, surface, arcs, *faces, **check: (surface, arcs)))
     kinds = {"annulus": 0, "ValueError": 0, "disc": 0}
     for n, most in ((1, 5), (2, 5), (3, 3)):
         for A in itertools.product(_multisets(most), repeat=n):

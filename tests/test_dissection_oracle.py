@@ -182,29 +182,34 @@ def test_no_polygon_realizes_an_unrolled_finite_quotient_frieze(found):
             assert U not in found, U
 
 
+def single_glue_quotients(D):
+    """Every quotient that one identification makes on an annulus
+    dissection.  A glue (a, b, delta) joins lifts delta periods apart at a
+    shared outer vertex, so |delta| n is at most the spread of the bottom
+    coordinates."""
+    xs = [x for f in D.base_faces for x in f.bottom_coords()]
+    reach = (max(xs) - min(xs)) // D.surface.n
+    for a, b in combinations_with_replacement(range(len(D.base_faces)), 2):
+        glues = [(a, b, d) for d in range(-reach, reach + 1)
+                 if d or a != b] + ([(a, b)] if a != b else [])
+        for glue in glues:
+            try:
+                yield make_quotient(D, [glue])
+            except ValueError:
+                continue
+
+
 def quotient_outer_cycles():
-    """The number of quotients that one identification makes on the annulus
-    dissections of the search, and their distinct outer quiddities.  A glue
-    (a, b, delta) joins lifts delta periods apart at a shared outer vertex,
-    so |delta| n is at most the spread of the bottom coordinates."""
+    """The number of single-glue quotients of the annulus dissections of the
+    search, and their distinct outer quiddities."""
     built, cycles = 0, set()
     for s in surfaces():
         if s.kind != "annulus":
             continue
         for D in dissections(s):
-            xs = [x for f in D.base_faces for x in f.bottom_coords()]
-            reach = (max(xs) - min(xs)) // s.n
-            for a, b in combinations_with_replacement(
-                    range(len(D.base_faces)), 2):
-                glues = [(a, b, d) for d in range(-reach, reach + 1)
-                         if d or a != b] + ([(a, b)] if a != b else [])
-                for glue in glues:
-                    try:
-                        QD = make_quotient(D, [glue])
-                    except ValueError:
-                        continue
-                    built += 1
-                    cycles.add(quiddity_of(QD).A)
+            for QD in single_glue_quotients(D):
+                built += 1
+                cycles.add(quiddity_of(QD).A)
     return built, cycles
 
 

@@ -1,36 +1,50 @@
 """Assembled faces against the face walk.
 
-``glue_ears`` does not walk the faces of the dissection it builds: it moves
-the faces of the dissection it glues onto by its vertex map and adds one
-face per ear, and ``dissection_power`` translates the base faces k times.
-The walk, ``Dissection(surface, arcs)``, stays the path for parsed input
-and for skeletal cores, and is the oracle here: every witness must have
-the walked build's faces and corner tables, and a quotient's glue must
-name the same faces as when every build walks.
+Classification walks no face.  ``realize._construct`` reads the faces of a
+skeletal core off its layout: consecutive bridge ends (a, y), (b, w)
+bound the face from v_a to v_b along the bottom, then from w down to y
+along the top, or through the puncture of a disc; a constant core's
+polygon is its one face.  The arcs of a core are still checked for
+duplicates, boundary parallels and crossings, as the walk checks them.
+``glue_ears`` moves the faces of the dissection it glues onto by its
+vertex map and adds one face per ear, and ``dissection_power`` translates
+the base faces k times.  The walk, ``Dissection(surface, arcs)``, stays
+the path for parsed input and is the oracle here: every core of the
+layout differential's cycles and every witness must have the walked
+build's faces and corner tables, and a quotient's glue must name the same
+faces as when every build walks.
 """
 
+import json
 import random
+from collections import Counter
+from itertools import product
 from unittest import mock
 
 import pytest
 
-from artifact import (dissection_power, glue_ear, glue_ears,
-                      rotate_dissection, witness_nonuniqueness_probe)
+from artifact import (classify_realizability, dissection_power, glue_ear,
+                      glue_ears, polygon, quiddity_new, rotate_dissection,
+                      witness_nonuniqueness_probe)
 from artifact.cli import random_quotient_cycle
-from artifact.realize import _classify
+from artifact.realize import (_classify, _classify_core, _construct,
+                              _first_choice, all_pchoices)
 from artifact.surface import Dissection
 
+from golden.record import CASES, run_case
+from test_annulus_layout_differential import _multisets
+from test_dissection_oracle import SHORT
 from test_glue_ears_differential import CORES, ear_glued
 
 
-def walked(surface, arcs, faces=None):
+def walked(surface, arcs, *faces, **check):
     return Dissection(surface, arcs)
 
 
 def by_walk(make, *args):
     """make(*args) with every build walking its faces."""
     with mock.patch.object(Dissection, "_assemble",
-                           classmethod(lambda cls, *a: walked(*a))):
+                           classmethod(lambda cls, *a, **k: walked(*a))):
         return make(*args)
 
 
@@ -130,17 +144,102 @@ def test_powers(name):
             assert_walked(dissection_power(W, k), dissection_power, W, k)
 
 
-def test_an_ear_glued_cycle_walks_its_core_alone(monkeypatch):
-    walk = Dissection._walk_faces
-    walked_sizes = []
+def layouts(sizes=((1, 5), (2, 5), (3, 3))):
+    """Every gap-size assignment, valid or not, of the cycles of the annulus
+    layout differential: length n over multisets of at most ``most`` sizes
+    from {3, 4, 5}, with an anchor."""
+    for n, most in sizes:
+        for A in product(_multisets(most), repeat=n):
+            if any(len(a) > 1 for a in A):
+                Q = quiddity_new(A)
+                for pchoice in all_pchoices(Q):
+                    yield Q, pchoice
 
-    def counting(self):
-        walked_sizes.append(self.surface.n)
-        return walk(self)
 
-    monkeypatch.setattr(Dissection, "_walk_faces", counting)
+def unwalked_cores(cases):
+    """The cases whose ``_construct`` witness differs from the walked build
+    of its arcs or is refused by the assembly, and a count of the witnesses
+    by kind."""
+    bad, kinds = [], Counter()
+    for Q, pchoice in cases:
+        try:
+            kind, D = _construct(Q, pchoice)
+        except ValueError as exc:     # only the layout may refuse
+            if not str(exc).startswith(("gap-size assignment incompatible",
+                                        "cycle is not skeletal at")):
+                bad.append((Q.A, pchoice))
+            continue
+        kinds[kind] += 1
+        try:
+            assert_walked(D)
+        except AssertionError:
+            bad.append((Q.A, pchoice))
+    return bad, kinds
+
+
+def test_cores_have_the_walked_faces():
+    bad, kinds = unwalked_cores(layouts())
+    assert not bad
+    assert kinds == {"annulus": 5757, "disc": 11}
+
+
+def test_random_cores_have_the_walked_faces():
+    rng = random.Random(31)
+    cases = []
+    for _ in range(3000):
+        Q = quiddity_new([tuple(sorted(rng.choice((3, 4, 5, 6)) for _ in
+                                       range(rng.randint(1, 4))))
+                          for _ in range(rng.randint(1, 6))])
+        if any(len(a) > 1 for a in Q.A):
+            try:
+                pchoice, _bad = _first_choice(Q)
+            except ValueError:
+                continue              # fails the test or is not skeletal
+            cases.append((Q, pchoice))
+    bad, kinds = unwalked_cores(cases)
+    assert not bad
+    assert sum(kinds.values()) > 100, kinds
+
+
+def test_constant_core_polygons_have_the_walked_face():
+    for n in range(3, 13):
+        W = _classify_core(quiddity_new([(n,)] * n)).witness
+        assert W.surface == polygon(n)
+        assert_walked(W)
+
+
+def test_a_reversed_top_run_fails_the_oracle(monkeypatch):
+    assemble = Dissection._assemble
+
+    def reversed_top(cls, surface, arcs, faces, **check):
+        faces = [tuple(v for v in f if v[0] != "t")
+                 + tuple(reversed([v for v in f if v[0] == "t"]))
+                 for f in faces]
+        return assemble(surface, arcs, faces, **check)
+
+    monkeypatch.setattr(Dissection, "_assemble", classmethod(reversed_top))
+    bad, _kinds = unwalked_cores(layouts(((1, 5), (2, 3))))
+    assert bad
+
+
+def test_classification_walks_no_face(monkeypatch):
+    def refuse(self):
+        raise AssertionError("classification walked a face")
+
+    monkeypatch.setattr(Dissection, "_walk_faces", refuse)
+    kinds = Counter(classify_realizability(quiddity_new(A)).kind
+                    for A in SHORT)
+    assert kinds == {"unrealizable": 4211, "annulus": 1762,
+                     "quotient_annulus": 1245, "punctured_disc": 20,
+                     "polygon": 1}
+    with open(CASES) as fh:
+        cases = [c for c in json.load(fh) if c["argv"][0] == "classify"]
+    assert len(cases) == 29
+    for case in cases:
+        assert run_case(case["argv"]) == (case["exit"], case["stdout"],
+                                          case["stderr"]), case["name"]
     Q = ear_glued(CORES["annulus-readme"][0], 40, random.Random(40))
-    cls, core, steps = _classify(Q)
-    assert cls.kind == "annulus" and cls.witness.surface.n == 40 and steps
-    # the core's builds walk; the glued witness is assembled
-    assert walked_sizes and set(walked_sizes) == {core.n}
+    cls = classify_realizability(Q)
+    assert cls.kind == "annulus" and cls.witness.surface.n == 40
+    with pytest.raises(AssertionError, match="walked"):
+        Dissection(polygon(3), [])
