@@ -23,7 +23,7 @@ from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (check_window, enumerate_matchings, weigh_matching,
                         matching_sum, growth_via_annulus_weight,
                         inner_outer_consistency, DEFAULT_BUDGET)
-from .tpaths import PolygonGeometry, weighted_tpaths, phi_bijection
+from .tpaths import weighted_tpaths, phi_bijection
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -208,13 +208,12 @@ def _cmd_matchings(args, out):
 
 def _cmd_tpaths(args, out):
     D = _load_dissection(args.input)
-    geo = PolygonGeometry(D)
     i, j = args.from_, args.to
     # the bijection is checked first, so a refusal prints no paths
-    mapping = phi_bijection(D, i, j, geo) if args.check_phi else None
+    mapping = phi_bijection(D, i, j) if args.check_phi else None
     total = D.context.zero()
     count = 0
-    for path, wt in weighted_tpaths(D, i, j, args.kind, geo):
+    for path, wt in weighted_tpaths(D, i, j, args.kind):
         total = total + wt
         count += 1
         route = " ".join("%d->%d" % st for st in path.steps)

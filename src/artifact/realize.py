@@ -49,30 +49,48 @@ def _violations(Q, pchoice):
             if _clash(Q.A[i], pchoice[i - 1], pchoice[i])]
 
 
+def _chain_pass(A, choices, x):
+    """(fewest, walk) for size x at gap 0: the fewest clashes of a gap-size
+    assignment, and a walk of the assignments having them, in lexicographic
+    order.  A clash at v_i reads only gaps i - 1 and i, so a backward pass
+    keeps, per size c at gap i, the fewest clashes at v_{i+1}, ..., v_{n-1},
+    v_0; the walk goes depth first, in increasing size order, through the
+    sizes that keep the fewest, so every prefix it meets completes: O(n k^2)
+    for k candidates per gap, then O(n k) per assignment walked."""
+    n = len(A)
+    cost = [None] * n + [{x: 0}]
+    for i in range(n - 1, -1, -1):
+        cost[i] = {c: min(_clash(A[(i + 1) % n], c, d) + k
+                          for d, k in cost[i + 1].items())
+                   for c in choices[i]}
+
+    def walk():
+        pchoice, stack = [x] * n, [iter((x,))]
+        while stack:
+            i = len(stack) - 1        # stack[i] walks the sizes of gap i
+            pchoice[i] = c = next(stack[i], None)
+            if c is None:
+                stack.pop()
+            elif i == n - 1:
+                yield tuple(pchoice)
+            else:
+                stack.append(iter([d for d, k in cost[i + 1].items()
+                                   if _clash(A[i + 1], c, d) + k
+                                   == cost[i][c]]))
+    return cost[0][x], walk()
+
+
 def _fewest_clashes(Q):
     """(pchoice, bad): the lexicographically first gap-size assignment with
-    the fewest clashes and its clashing indices.  A clash at v_i reads only
-    gaps i - 1 and i, so for each size x at gap 0 a backward pass keeps, per
-    size at gap i, the fewest clashes at v_{i+1}, ..., v_{n-1}, v_0, and the
-    smallest sizes keeping them are read forward: O(n k^3) for k candidates
-    per gap.  Raises ValueError when a gap has no candidate."""
-    n, A, choices = Q.n, Q.A, _gap_choices(Q)
+    the fewest clashes, and its clashing indices: O(n k^3).  Raises
+    ValueError when a gap has no candidate."""
+    choices = _gap_choices(Q)
     if not all(choices):
         raise ValueError("cycle fails the realizability test")
-    fewest = n + 1
-    for x in choices[0]:
-        cost = [None] * n + [{x: 0}]
-        for i in range(n - 1, -1, -1):
-            cost[i] = {c: min(_clash(A[(i + 1) % n], c, d) + k
-                              for d, k in cost[i + 1].items())
-                       for c in choices[i]}
-        if cost[0][x] < fewest:
-            fewest, pchoice, kept = cost[0][x], [x], cost
-    for i in range(1, n):
-        p = pchoice[-1]
-        pchoice.append(next(d for d, k in kept[i].items()
-                            if _clash(A[i], p, d) + k == kept[i - 1][p]))
-    return tuple(pchoice), _violations(Q, pchoice)
+    _fewest, walk = min((_chain_pass(Q.A, choices, x) for x in choices[0]),
+                        key=lambda pass_: pass_[0])
+    pchoice = next(walk)
+    return pchoice, _violations(Q, pchoice)
 
 
 def all_pchoices(Q):
@@ -82,10 +100,13 @@ def all_pchoices(Q):
 
 
 def valid_pchoices(Q):
-    """Gap-size assignments with no clashing index, lexicographic order."""
-    for combo in all_pchoices(Q):
-        if not _violations(Q, combo):
-            yield combo
+    """Gap-size assignments with no clashing index, lexicographic order: the
+    walks of the chain passes that find no clash."""
+    choices = _gap_choices(Q)
+    for x in choices[0] if all(choices) else ():
+        fewest, walk = _chain_pass(Q.A, choices, x)
+        if not fewest:
+            yield from walk
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +163,9 @@ def _construct(Q, pchoice):
     faces = [tuple(("b", x) for x in range(a, b + 1))
              + (tuple(("t", z) for z in range(w, y - 1, -1)) if m else (_INF,))
              for (a, y), (b, w) in zip(ends, ends[1:] + [(anchors[0] + n, m)])]
-    return surface.kind, Dissection._assemble(surface, arcs, faces,
-                                              check_arcs=True)
+    D = Dissection._assemble(surface, arcs, faces)
+    D._check_arcs()
+    return surface.kind, D
 
 
 def skeletal_realize(Q):
@@ -155,18 +177,13 @@ def skeletal_realize(Q):
     every anchor holds just its two gaps' sizes, and then every clash-free
     assignment has the same sum of sizes, so all of them give one shape.
     """
-    pchoice, bad = _first_choice(Q)
-    return ("no_valid_choice", None) if bad else _construct(Q, pchoice)
-
-
-def _first_choice(Q):
-    """``_fewest_clashes`` of a skeletal cycle that passes the test."""
     verdict = realizability_test(Q)
     if not verdict.ok:
         raise ValueError("cycle fails the realizability test (%s)" % verdict.reason)
     if not is_skeletal_quiddity(Q):
         raise ValueError("cycle is not skeletal")
-    return _fewest_clashes(Q)
+    pchoice, bad = _fewest_clashes(Q)
+    return ("no_valid_choice", None) if bad else _construct(Q, pchoice)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +362,11 @@ def _classify_core(Q):
     """Classify a cycle that passes the test and has no ear left to cut."""
     if all(len(a) == 1 for a in Q.A):     # it passed the test: [n]^n
         witness = Dissection._assemble(polygon(Q.n), [], [tuple(
-            ("b", x) for x in range(Q.n))], check_arcs=True)
+            ("b", x) for x in range(Q.n))])
         return Classification("polygon", witness=witness)
 
-    pchoice, bad = _first_choice(Q)
+    # _reduce cut every ear, so Q is skeletal and passes the test
+    pchoice, bad = _fewest_clashes(Q)
     if bad:
         return Classification("quotient_annulus",
                               witness=_quotient(Q, pchoice, bad))

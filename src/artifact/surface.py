@@ -92,22 +92,10 @@ class Arc:
 _INF = ("inf",)
 
 
-def _vertex_sort_key(v):
-    if v[0] == "b":
-        return (0, v[1])
-    if v[0] == "t":
-        return (1, v[1])
-    return (2, 0)
-
-
-def _boundary_rank(v, t, n, m):
-    """Place of v, translated t periods, along the counterclockwise walk of
-    a strip window's boundary: bottom line rightward, then top leftward."""
-    if v[0] == "b":
-        return (0, v[1] + t * n)
-    if v[0] == "t":
-        return (1, -(v[1] + t * m))
-    return (1, 0)
+def _rank(v):
+    """Place of v along a strip window's boundary, counterclockwise: the
+    bottom rightward, then the top leftward or the puncture, never both."""
+    return ("t", -v[1]) if v[0] == "t" else v
 
 
 def _translate_vertex(v, t, n, m):
@@ -224,15 +212,13 @@ class Dissection:
         self._compute_faces()
 
     @classmethod
-    def _assemble(cls, surface, arcs, faces, check_arcs=False):
+    def _assemble(cls, surface, arcs, faces):
         """A dissection with known faces, each from its leftmost bottom vertex
-        in [0, n): validated, numbered and checked to tile, not walked; with
-        ``check_arcs``, its arcs are checked as the walk checks them."""
+        in [0, n): validated, numbered and checked to tile, not walked, nor
+        are its arcs checked for crossings as ``_check_arcs`` does."""
         D = cls.__new__(cls)
         D._set_arcs(surface, arcs)
         D._set_faces(faces)
-        if check_arcs:
-            D._check_arcs()
         return D
 
     def _set_arcs(self, surface, arcs):
@@ -263,8 +249,6 @@ class Dissection:
             elif arc.kind == "peri":
                 if not (1 <= arc.a <= s.n and 1 <= arc.b <= s.n):
                     raise ValueError("peripheral endpoint out of range")
-                if arc.a == arc.b and s.kind == "polygon":
-                    raise ValueError("peripheral arc cannot close on one vertex")
                 if (arc.b - arc.a) % s.n == 1:
                     raise ValueError("peripheral arc parallel to a boundary edge")
             elif arc.kind == "bridge":
@@ -323,8 +307,7 @@ class Dissection:
         return chords
 
     def _set_faces(self, faces):
-        faces = sorted(faces, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
-                                                        for v in vs]))
+        faces = sorted(faces, key=lambda vs: (len(vs), vs))
         self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
             if f.size < 3:
@@ -355,12 +338,10 @@ class Dissection:
                 if v in rot:
                     rot[v].append(u)
         # a turn only reads the cyclic order, so sorting by boundary rank
-        # from any start will do, and without a top line the labels' own
-        # order is that rank
-        key = (lambda u: _boundary_rank(u, 0, n, m)) if m else None
+        # from any start will do
         turn = {}  # turn[v][u]: the vertex after v on the face left of u -> v
         for v, nbrs in rot.items():
-            nbrs.sort(key=key)
+            nbrs.sort(key=_rank)
             turn[v] = {u: nbrs[k - 1] for k, u in enumerate(nbrs)}
 
         def anchor(u, v, t):
@@ -410,8 +391,8 @@ class Dissection:
                     continue
                 i = v[1] % period + 1
                 t = (i - 1 - v[1]) // period
-                nxt = _boundary_rank(f.verts[(idx + 1) % k], t, n, m)
-                table[i].append((nxt <= _boundary_rank(v, t, n, m), nxt, f.id, t))
+                nxt = _rank(_translate_vertex(f.verts[(idx + 1) % k], t, n, m))
+                table[i].append((nxt <= _rank((v[0], i - 1)), nxt, f.id, t))
         # arc endpoints per vertex, counted in one pass over the arcs
         outer_degree = [0] * (n + 1)
         inner_degree = [0] * (m + 1)

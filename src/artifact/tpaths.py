@@ -34,39 +34,33 @@ class TPath:
 
 
 class PolygonGeometry:
-    """Per-dissection tables: subgon membership, chord weights, arcs.  One
-    geometry serves every query of a run; the step weights U_k(lambda_p)
-    come from the process-wide cache of ``matchings``."""
+    """Per-dissection tables: each subgon's vertices and, read from the
+    corner tables, the subgons at each vertex; O(n + sum of subgon sizes).
+    The step weights U_k(lambda_p) come from the process-wide cache of
+    ``matchings``."""
 
     def __init__(self, D):
         if D.is_quotient() or D.surface.kind != "polygon":
             raise ValueError("T-paths are defined on dissected polygons")
         self.n = D.surface.n
         self.context = D.context
-        self.faces = {}          # fid -> sorted vertex numbers
-        self.faces_at = {}       # vertex -> fids of the subgons holding it
-        for f in D.base_faces:
-            self.faces[f.id] = sorted(x + 1 for x in f.bottom_coords())
-            for x in self.faces[f.id]:
-                self.faces_at.setdefault(x, set()).add(f.id)
+        # fid -> sorted vertex numbers
+        self.faces = {f.id: sorted(x + 1 for x in f.bottom_coords())
+                      for f in D.base_faces}
+        # vertex -> fids of the subgons holding it
+        self.faces_at = {i: {fid for fid, _t in corners}
+                         for i, corners in D.outer_corners.items()}
         self.arc_pairs = [frozenset((arc.a, arc.b)) for arc in D.arcs]
-        # chords inside one subgon: {u,w} -> (fid carrying the weight)
-        self.chords = {}
-        for fid, vs in self.faces.items():
-            for ai in range(len(vs)):
-                for bi in range(ai + 1, len(vs)):
-                    key = frozenset((vs[ai], vs[bi]))
-                    # edges shared by two subgons have weight 1 in either
-                    self.chords.setdefault(key, fid)
 
     def _skip(self, u, w):
         """(k, p) for the step u->w inside a p-gon, whose weight is
-        U_k(lambda_p)."""
-        fid = self.chords.get(frozenset((u, w)))
-        if fid is None:
+        U_k(lambda_p); the p-gon is the least face id u and w share (an
+        edge of two subgons has weight 1 in either)."""
+        shared = self.faces_at.get(u, set()) & self.faces_at.get(w, set())
+        if u == w or not shared:
             raise ValueError("step (%d,%d) is not contained in one subgon"
                              % (u, w))
-        vs = self.faces[fid]
+        vs = self.faces[min(shared)]
         p = len(vs)
         # skip count: subgon vertices strictly between u and w on one side;
         # the two sides give equal weights, U_k = U_{p-2-k} at lambda_p, so
@@ -120,11 +114,10 @@ def enumerate_tpaths(D, i, j, kind="weak"):
     yield from _tpaths(PolygonGeometry(D), i, j, kind)
 
 
-def weighted_tpaths(D, i, j, kind="weak", geo=None):
+def weighted_tpaths(D, i, j, kind="weak"):
     """(path, weight) for every T-path of ``enumerate_tpaths``, all on one
-    build of the dissection's tables (``geo``, built if not given)."""
-    if geo is None:
-        geo = PolygonGeometry(D)
+    build of the dissection's tables."""
+    geo = PolygonGeometry(D)
     for path in _tpaths(geo, i, j, kind):
         yield path, geo.path_weight(path)
 
@@ -143,14 +136,13 @@ def _tpaths(geo, i, j, kind):
     if kind != "weak":
         raise ValueError("kind must be weak or complete")
 
-    all_chords = sorted(geo.chords, key=lambda s: tuple(sorted(s)))
-
     def extend(pos, trail, used, last_cross):
-        # odd step next
-        for key in all_chords:
-            if pos not in key or key in used:
+        # odd step next, to each vertex sharing a subgon with pos, in order
+        ahead = set().union(*map(geo.faces.get, geo.faces_at[pos]))
+        for w in sorted(ahead - {pos}):
+            key = frozenset((pos, w))
+            if key in used:
                 continue
-            (w,) = key - {pos}
             odd = (trail, (pos, w))
             if w == j:
                 yield TPath(i, j, _steps(odd))
@@ -172,14 +164,14 @@ def _complete_tpaths(geo, i, j, crossed):
 
     def extend(pos, idx, trail):
         if idx == d:
-            if pos != j and frozenset((pos, j)) in geo.chords:
+            if pos != j and not geo.faces_at[pos].isdisjoint(geo.faces_at[j]):
                 yield TPath(i, j, _steps((trail, (pos, j))))
             return
         pair = crossed[idx]
         for u in sorted(pair):
             w = next(iter(pair - {u}))
             # the odd step must move, inside one subgon
-            if pos == u or frozenset((pos, u)) not in geo.chords:
+            if pos == u or geo.faces_at[pos].isdisjoint(geo.faces_at[u]):
                 continue
             yield extend(w, idx + 1, ((trail, (pos, u)), (u, w)))
 
@@ -231,17 +223,15 @@ def _left_counts(geo, subgons, path):
                  for fid, (u, w) in zip(subgons, path.steps[::2]))
 
 
-def phi_bijection(D, i, j, geo=None):
+def phi_bijection(D, i, j):
     """The weight-preserving bijection from nonzero-traditional-weight
     matchings between v_i and v_j to complete T-paths: the number of
     vertices of each crossed subgon left of the corresponding odd step
     equals its occurrence count in the matching.  Returns the mapping
     {Matching: TPath}; raises if it fails to be a weight-preserving
     bijection.  Only the matchings of nonzero weight are walked, and
-    each is weighed again and must not be zero.  ``geo`` is the
-    dissection's ``PolygonGeometry``, built if not given."""
-    if geo is None:
-        geo = PolygonGeometry(D)
+    each is weighed again and must not be zero."""
+    geo = PolygonGeometry(D)
     # left-counts depend on the traversal direction; use the
     # counterclockwise one
     i, j = min(i, j), max(i, j)

@@ -95,10 +95,17 @@ def _outcome(f, *args):
         return ("ValueError", str(exc))
 
 
+class Laid(tuple):
+    """(surface, arcs) as laid out, standing in for the dissection that
+    would check them."""
+
+    def _check_arcs(self):
+        pass
+
+
 def test_one_pass_layout_matches_the_node_layout(monkeypatch):
-    # the arcs as laid out, before a dissection checks them
     monkeypatch.setattr(realize.Dissection, "_assemble", classmethod(
-        lambda cls, surface, arcs, *faces, **check: (surface, arcs)))
+        lambda cls, surface, arcs, faces: Laid((surface, arcs))))
     kinds = {"annulus": 0, "ValueError": 0, "disc": 0}
     for n, most in ((1, 5), (2, 5), (3, 3)):
         for A in itertools.product(_multisets(most), repeat=n):

@@ -7,6 +7,10 @@ through ``corner_choices``, as every dissection once was: both must agree,
 outer and inner, on the plain and quotient witnesses of the short cycles
 and on every dissection and single-glue quotient that the dissection
 oracle enumerates.
+
+Faces are numbered by (size, vertex labels).  On all the same dissections
+that must be the order of the key the face walk oracle keeps, which ranks
+bottom vertices before top ones before the puncture.
 """
 
 from artifact import classify_realizability, quiddity_new
@@ -14,6 +18,7 @@ from artifact.surface import _corner_multisets
 
 from test_dissection_oracle import (SHORT, dissections, single_glue_quotients,
                                     surfaces)
+from test_face_walk_differential import face_key
 
 
 def by_classes(D, boundary="outer"):
@@ -28,8 +33,9 @@ def by_classes(D, boundary="outer"):
 def agrees(D):
     boundaries = ("outer", "inner") if D.surface.kind == "annulus" \
         else ("outer",)
-    return all(_corner_multisets(D, b) == by_classes(D, b)
-               for b in boundaries)
+    faces = [f.verts for f in D.base_faces]
+    return faces == sorted(faces, key=face_key) and all(
+        _corner_multisets(D, b) == by_classes(D, b) for b in boundaries)
 
 
 def test_short_cycle_witnesses():

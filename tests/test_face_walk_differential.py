@@ -25,13 +25,27 @@ from artifact import surface as surface_module
 from artifact.cli import random_quotient_cycle, random_witness
 from artifact.realize import _classify
 from artifact.surface import (Dissection, Face, _INF, _check_nesting,
-                              _normal_face, _translate_vertex,
-                              _vertex_sort_key, chords_cross)
+                              _normal_face, _translate_vertex, chords_cross)
 
 from conftest import ANNULUS_334_TEXT
 from test_glue_ears_differential import ear_glued
 
 WINDOW = 4
+
+
+def _vertex_sort_key(v):
+    if v[0] == "b":
+        return (0, v[1])
+    if v[0] == "t":
+        return (1, v[1])
+    return (2, 0)
+
+
+def face_key(vs):
+    """The order that numbers the faces: by size, then by the vertices,
+    bottom before top before the puncture; ``Dissection`` sorts by
+    (size, labels), which agrees on every surface."""
+    return (len(vs), [_vertex_sort_key(v) + v for v in vs])
 
 
 def faces_of_chord_diagram(boundary, chords):
@@ -139,10 +153,8 @@ class WindowDissection(Dissection):
         self._keep(norm.values())
 
     def _keep(self, faces):
-        """Number the faces by the production sort and index their
-        corners."""
-        faces = sorted(faces, key=lambda vs: (len(vs), [_vertex_sort_key(v) + v
-                                                        for v in vs]))
+        """Number the faces by ``face_key`` and index their corners."""
+        faces = sorted(faces, key=face_key)
         self.base_faces = [Face(i, vs) for i, vs in enumerate(faces)]
         for f in self.base_faces:
             if f.size < 3:

@@ -10,10 +10,15 @@ took.  The two are compared on the short cycles of the dissection oracle
 and on seeded random cycles.  A mutant that keeps the last tied
 assignment is caught: ``[3,4]^k`` with k even has two clash-free ones.
 
-Classification must not walk the product: with ``itertools.product``
-replaced in ``artifact.realize`` by a function that raises, every short
-cycle still classifies, and long ``[3,4]^k`` cores keep their pinned kind
-and m.
+``valid_pchoices`` walks the same chain pass depth first, through the
+prefixes that can still complete without a clash; the oracle filters the
+product.  Both must list the same assignments in the same order.
+
+Neither classification nor the witness probe may walk the product: with
+``itertools.product`` replaced in ``artifact.realize`` by a function that
+raises, every short cycle still classifies and is probed, long
+``[3,4]^k`` cores keep their pinned kind and m, and ``[3,4]^20`` and
+``[3,4]^200`` each have their two witnesses.
 """
 
 import random
@@ -21,9 +26,11 @@ from collections import Counter
 
 import pytest
 
-from artifact import classify_realizability, quiddity_new
+from artifact import (classify_realizability, quiddity_new,
+                      witness_nonuniqueness_probe)
 from artifact import realize
-from artifact.realize import _fewest_clashes, _violations, all_pchoices
+from artifact.realize import (_fewest_clashes, _violations, all_pchoices,
+                              valid_pchoices)
 
 from test_dissection_oracle import SHORT
 
@@ -85,6 +92,17 @@ def test_chain_pass_matches_the_product_walk_on_random_cycles():
                                              4: 7, 5: 1}
 
 
+def product_filter(Q):
+    return [c for c in all_pchoices(Q) if not _violations(Q, c)]
+
+
+def test_valid_choices_match_the_product_filter():
+    cycles = SHORT + random_cycles(5000, seed=26)
+    assert [A for A in cycles if list(valid_pchoices(quiddity_new(A)))
+            != product_filter(quiddity_new(A))] == []
+    assert sum(len(product_filter(quiddity_new(A))) for A in cycles) == 7678
+
+
 def test_the_differential_catches_a_last_tie_mutant():
     pair, four = ((3, 4),) * 2, ((3, 4),) * 4
     assert list(realize.valid_pchoices(quiddity_new(pair))) == [(3, 4), (4, 3)]
@@ -107,5 +125,11 @@ def test_classification_never_walks_the_product(monkeypatch):
                        (2001, "quotient_annulus", 1002)]:
         c = classify_realizability(quiddity_new([(3, 4)] * k))
         assert (c.kind, c.n, c.m) == (kind, k, m)
+    probed = Counter(len(witness_nonuniqueness_probe(quiddity_new(A)))
+                     for A in SHORT)
+    assert probed == {0: 5457, 1: 1423, 2: 291, 3: 42, 4: 24, 6: 2}
+    for k in (20, 200):
+        W = witness_nonuniqueness_probe(quiddity_new([(3, 4)] * k))
+        assert [(D.surface.n, D.surface.m) for D in W] == [(k, k // 2)] * 2
     with pytest.raises(AssertionError, match="walked"):
         list(all_pchoices(quiddity_new([(3, 4)])))

@@ -3,6 +3,7 @@
 import io
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -103,27 +104,29 @@ def fan_text(n):
 def recursive_tpaths(D, i, j, kind):
     """The recursive walks that ``enumerate_tpaths`` replaced, one frame
     per crossed arc, on the coordinate geometry's crossing order: the
-    oracle for its order."""
+    oracle for its order.  A step may take any chord of one subgon."""
     geo = PolygonGeometry(D)
+    chords = {frozenset(c) for vs in geo.faces.values()
+              for c in combinations(vs, 2)}
     crossed = tpath_geometry_oracle.crossed_arcs(geo, i, j)
     if kind == "complete":
         d = len(crossed)
 
         def rec(pos, idx, steps):
             if idx == d:
-                if pos != j and frozenset((pos, j)) in geo.chords:
+                if pos != j and frozenset((pos, j)) in chords:
                     yield TPath(i, j, steps + ((pos, j),))
                 return
             _t, pair = crossed[idx]
             for u in sorted(pair):
                 w = next(iter(pair - {u}))
-                if pos == u or frozenset((pos, u)) not in geo.chords:
+                if pos == u or frozenset((pos, u)) not in chords:
                     continue
                 yield from rec(w, idx + 1, steps + ((pos, u), (u, w)))
 
         return list(rec(i, 0, ()))
 
-    all_chords = sorted(geo.chords, key=lambda s: tuple(sorted(s)))
+    all_chords = sorted(chords, key=lambda s: tuple(sorted(s)))
 
     def rec(pos, steps, used, last_cross):
         for key in all_chords:
@@ -146,8 +149,10 @@ def recursive_tpaths(D, i, j, kind):
 
 def test_walks_keep_the_recursive_order(rng, hexagon_13_35, pentagon_24_25):
     from artifact.cli import random_polygon_dissection
+    # three 12-gons: a step may take any of a subgon's 66 chords
     dissections = [hexagon_13_35, pentagon_24_25,
-                   parse_dissection_text(fan_text(9))]
+                   parse_dissection_text(fan_text(9)),
+                   parse_dissection_text("polygon 32\ndiag 1 12\ndiag 12 23")]
     dissections += [random_polygon_dissection(rng) for _ in range(20)]
     for D in dissections:
         for i, j in all_pairs(D.surface.n):
