@@ -10,7 +10,7 @@ core's dissection in one build.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .frieze import (QuiddityCycle, FriezeTable, realizability_test,
@@ -392,5 +392,7 @@ def witness_nonuniqueness_probe(Q):
     cls, core, steps = _classify(Q)
     if cls.kind not in ("punctured_disc", "annulus"):
         return []
-    return [glue_ears(_construct(core, pchoice)[1], steps)
-            for pchoice in valid_pchoices(core)]
+    # the classification's witness is that of the first clash-free choice
+    later = islice(valid_pchoices(core), 1, None)
+    return [cls.witness] + [glue_ears(_construct(core, pchoice)[1], steps)
+                            for pchoice in later]

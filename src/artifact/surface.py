@@ -6,19 +6,18 @@ named in the universal cover: the annulus and the once-punctured disc
 unroll to an infinite horizontal strip whose bottom line carries the lifts
 v_i^k of the outer vertices and whose top line carries the lifts w_j^k of
 the inner vertices (a single point at +infinity for the disc, reached by
-asymptotic arcs).  Faces are walked on the surface itself, one period of
-the strip: each base vertex keeps its neighbours' lifts in counterclockwise
-order, and a dart u -> v is turned at the base lift of v and translated
-back, so every step carries its period shift as a voltage (Gross & Tucker,
-Topological Graph Theory, ch. 2).  A face is one orbit of that face
-permutation; its vertex list in strip coordinates is the lift the walk
-traces, and it closes because the net voltage of a face is 0.  A polygon
-is one period whose boundary closes up, so all its voltages are 0.
+asymptotic arcs).  The faces of parsed input are found with one sweep of
+the boundary of a strip window, read as a line: the bottom line
+rightward, then the top line leftward, or the puncture.  The lifts of the
+arcs are chords on that line, and each open chord holds the face under
+it; a face kept is listed counterclockwise from its leftmost bottom
+vertex, which lies in [0, n).  A polygon is one period, and the region
+outside all its diagonals is its last face.
 
 Ears and relabellings compose into one vertex map (``glue_ears``), of
 which gluing one ear and rotating the labels are one-step forms.  Only
-parsed input is walked: a skeletal core's faces are read off its layout,
-and its arcs still get the walk's arc check; a glued dissection's faces
+parsed input is swept: a skeletal core's faces are read off its layout,
+and its arcs still get the sweep's arc check; a glued dissection's faces
 are those it glues onto, moved by the map, plus one per ear, and a
 power's are its base faces, translated.
 
@@ -35,6 +34,7 @@ read or written.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -181,17 +181,19 @@ def chords_cross(a, b, c, d):
 
 def _check_nesting(spans):
     """Raise unless chords, given as (left end, -right end) pairs of their
-    boundary positions, pairwise nest or are disjoint.  Sorted, they come
-    by left end and, for one left end, longest first; the spans still open
-    form a stack, and each new span must end inside the innermost one that
-    has not closed before it starts."""
+    boundary positions, pairwise nest or are disjoint; returns them sorted.
+    Sorted, they come by left end and, for one left end, longest first; the
+    spans still open form a stack, and each new span must end inside the
+    innermost one that has not closed before it starts."""
+    spans = sorted(spans)
     open_ends = []
-    for lo, neg_hi in sorted(spans):
+    for lo, neg_hi in spans:
         while open_ends and open_ends[-1] <= lo:
             open_ends.pop()
         if open_ends and open_ends[-1] < -neg_hi:
             raise ValueError("crossing arcs")
         open_ends.append(-neg_hi)
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ class Dissection:
     @classmethod
     def _assemble(cls, surface, arcs, faces):
         """A dissection with known faces, each from its leftmost bottom vertex
-        in [0, n): validated, numbered and checked to tile, not walked, nor
+        in [0, n): validated, numbered and checked to tile, not swept, nor
         are its arcs checked for crossings as ``_check_arcs`` does."""
         D = cls.__new__(cls)
         D._set_arcs(surface, arcs)
@@ -286,25 +288,60 @@ class Dissection:
         return chords
 
     def _compute_faces(self):
+        """Find the faces with one sweep of the boundary positions that
+        ``_check_arcs`` ranks.  Each chord, while open, holds the face under
+        it; at a position the chords ending there close, innermost first,
+        the position joins the face then on top, and the chords starting
+        there open, outermost first.  A face under a chord is listed
+        counterclockwise from the chord's left end, its leftmost bottom
+        vertex, and kept when that lies in [0, n).  The chords starting in
+        [0, 2n) suffice: those inside a kept face, and the bridge after it,
+        start less than a period after it.  The face under the last bridge,
+        open where the sweep passes to the top line, is cut by the window
+        and starts at or past n, as the next lift of a bridge from [0, n)
+        does.  The outer region is a polygon's last face; on a strip it is
+        cut by the window too."""
         n, m = self.surface.n, self.surface.m
-        self._set_faces(_normal_face(f, n, m)[0] for f in self._walk_faces())
+        spans = self._check_arcs()
+        spans = spans[bisect_left(spans, (0,)):bisect_left(spans, (2 * n,))]
+        top = 3 * n + 4 * m
+        outer = []
+        stack = [(-1, outer)]  # (right end, face) of each open chord
+        faces = []
+        k = 0
+        for p in range(max([n - 1] + [-hi for _lo, hi in spans]) + 1):
+            v = ("b", p) if p < 3 * n else ("t", top - p) if m else _INF
+            while stack[-1][0] == p:
+                face = stack.pop()[1]
+                face.append(v)
+                if face[0][1] < n:
+                    faces.append(tuple(face))
+            stack[-1][1].append(v)
+            while k < len(spans) and spans[k][0] == p:
+                stack.append((-spans[k][1], [v]))
+                k += 1
+        if self.surface.kind == "polygon":
+            faces.append(tuple(outer))
+        self._set_faces(faces)
 
     def _check_arcs(self):
         """Raise on duplicate arcs, on arcs parallel to a boundary edge and
-        on crossing arcs; returns the chords of lifts -2..2 of the arcs."""
+        on crossing arcs; returns the spans of lifts -2..2 of the arcs as
+        sorted (left end, -right end) pairs of boundary positions."""
         n, m = self.surface.n, self.surface.m
         # two crossing lifts lie at most one period apart, so lifts -2..2 show
-        # every crossing; positions run rightward along the bottom, then
-        # leftward along the top from past the bottom, or to the puncture
+        # every crossing; positions run rightward along the bottom, x at x,
+        # then leftward along the top, y at 3n + 4m - y, or to the puncture
+        # at 3n
         chords = self._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
         # a diagonal listed both ways round lifts to the same chord twice
         if len(set(chords)) < len(chords) or any(
                 q[0] == "b" and q[1] - p[1] == 1 for p, q in chords):
             raise ValueError("duplicate arc or arc parallel to a boundary edge")
         top = 3 * n + 4 * m
-        _check_nesting([(p[1], -q[1] if q[0] == "b" else
-                         (q[1] if q[0] == "t" else 0) - top) for p, q in chords])
-        return chords
+        return _check_nesting([(p[1], -q[1] if q[0] == "b" else
+                                (q[1] if q[0] == "t" else 0) - top)
+                               for p, q in chords])
 
     def _set_faces(self, faces):
         faces = sorted(faces, key=lambda vs: (len(vs), vs))
@@ -314,72 +351,13 @@ class Dissection:
                 raise ValueError("dissection produces a face of size < 3")
         self._index_corners()
 
-    def _walk_faces(self):
-        """Lifted vertex cycles of the faces, one per orbit of the face
-        permutation on the darts of one period.  A polygon is the period
-        itself: its boundary closes up and every voltage is 0."""
-        s = self.surface
-        n, m = s.n, s.m
-        chords = self._check_arcs()
-        # each base vertex's neighbours, seen from its lift at shift 0, in
-        # counterclockwise order; the puncture keeps its bridges of all five
-        # lifts, so a turn past a period's first reaches the last one before
-        closed = s.kind == "polygon"
-
-        def bottom(x):  # a polygon's boundary closes up after one period
-            return ("b", x % n if closed else x)
-
-        rot = {("b", i): [bottom(i - 1), bottom(i + 1)] for i in range(n)}
-        rot.update({("t", j): [("t", j - 1), ("t", j + 1)] for j in range(m)})
-        if s.kind == "disc":
-            rot[_INF] = []
-        for p, q in chords:
-            for v, u in ((p, q), (q, p)):
-                if v in rot:
-                    rot[v].append(u)
-        # a turn only reads the cyclic order, so sorting by boundary rank
-        # from any start will do
-        turn = {}  # turn[v][u]: the vertex after v on the face left of u -> v
-        for v, nbrs in rot.items():
-            nbrs.sort(key=_rank)
-            turn[v] = {u: nbrs[k - 1] for k, u in enumerate(nbrs)}
-
-        def anchor(u, v, t):
-            """The dart u -> v of lift t, moved so that its head (its tail at
-            the puncture) sits at shift 0, and the lift it is then read in."""
-            w = u if v is _INF else v
-            k = w[1] // (n if w[0] == "b" else m)
-            if not k:
-                return u, v, t
-            return _translate_vertex(u, -k, n, m), _translate_vertex(v, -k, n, m), t + k
-
-        # darts with the outside of the strip on their left are never walked
-        seen = {(bottom(i + 1), ("b", i)) for i in range(n)}
-        seen.update((("t", j - 1), ("t", j)) for j in range(m))
-        faces = []
-        for v0, nbrs in rot.items():
-            for u0 in nbrs:
-                if (v0, u0) in seen:  # an anchored dart, walked already
-                    continue
-                u, v, t = start = anchor(v0, u0, 0)
-                cyc = []
-                while (u, v) not in seen:
-                    seen.add((u, v))
-                    cyc.append(_translate_vertex(u, t, n, m) if t else u)
-                    u, v, t = anchor(v, turn[v][u], t)
-                if cyc:
-                    if (u, v, t) != start:
-                        raise ValueError("a face walk does not close up")
-                    faces.append(tuple(cyc))
-        return faces
-
     def _index_corners(self):
         s = self.surface
         n, m = s.n, s.m
         self.outer_corners = {i: [] for i in range(1, n + 1)}
         self.inner_corners = {j: [] for j in range(1, m + 1)} if s.kind == "annulus" else {}
-        # corners run counterclockwise in the order the face walk sorts
-        # neighbours: by the boundary place of the next vertex, from v on
+        # corners run counterclockwise around v: by the place of the next
+        # vertex of the face along the strip boundary, from v on
         for f in self.base_faces:
             k = f.size
             for idx, v in enumerate(f.verts):
@@ -689,7 +667,7 @@ def glue_ears(D, steps):
     labels by r; a step with g None rotates only.  Each step only inserts
     p - 2 outer vertices after v_g and shifts the labels by r, so the steps
     compose into one map from vertices to final labels, applied to the arcs
-    of D, to one ear arc per step and to the faces, which are not walked
+    of D, to one ear arc per step and to the faces, which are not swept
     again: those of D moved by the map, and one per ear."""
     if not steps:
         return D

@@ -32,7 +32,7 @@ Euler bound holds for ordinary annuli, and a quotient counts identified
 corners once, so a short quotient cycle may need a larger annulus or more
 than one identification.
 
-Limits: the search shares the arc model, the face walk and the corner
+Limits: the search shares the arc model, the face sweep and the corner
 count with ``artifact.surface``, so what is independent of the classifier
 is the search, not the surface model.
 """

@@ -1,18 +1,26 @@
-"""The one-period face walk against the chord-diagram walks it replaces.
+"""The face sweep against the dart walk and the chord-diagram window.
 
-``Dissection`` walks the faces of every surface on one period, one orbit of
-the face permutation per face; a polygon is the period itself, with every
-voltage 0.  The reference walks a polygon's faces as a convex chord diagram
-directly.  For a disc or annulus it lifts every arc into a window of
-2*4 + 1 bottom periods, walks all faces of that convex chord diagram, drops
-the faces cut by the two closing edges of the window and keeps one
-translate of each of the rest.  Both must give the same faces, in the same
-order, the same corner tables and corner choices, or raise the same
-``ValueError`` message.
+``Dissection`` finds the faces of parsed input with one sweep of the strip
+boundary: the chords of the arc lifts that start in [0, 2n), sorted by
+left end and outermost first, open and close on a stack, each holding the
+face under it, and the faces under the chords from [0, n) are kept, plus
+a polygon's outer region.  Two references find the same faces another
+way.  ``walked_faces`` walks the faces on one period of the strip, one
+orbit of the face permutation per face (Gross & Tucker, Topological Graph
+Theory, ch. 2), and ``_normal_face`` lists each from its leftmost bottom
+vertex.  The window walks a polygon's faces as a convex chord diagram
+directly; for a disc or annulus it lifts every arc into a window of
+2*4 + 1 bottom periods, walks all faces of that convex chord diagram,
+drops the faces cut by the two closing edges of the window and keeps one
+translate of each of the rest.  All three must give the same faces, in
+the same order, the same corner tables and corner choices, or raise the
+same ``ValueError`` message.
 """
 
 import functools
+import os
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -22,12 +30,16 @@ from artifact import (Arc, annulus, dissection_power, glue_ears,
                       parse_dissection_text, polygon, punctured_disc,
                       rotate_dissection)
 from artifact import surface as surface_module
-from artifact.cli import random_quotient_cycle, random_witness
+from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
+                          random_witness)
 from artifact.realize import _classify
 from artifact.surface import (Dissection, Face, _INF, _check_nesting,
-                              _normal_face, _translate_vertex, chords_cross)
+                              _normal_face, _rank, _translate_vertex,
+                              chords_cross)
 
-from conftest import ANNULUS_334_TEXT
+import test_dissection_oracle
+from conftest import ANNULUS_334_TEXT, random_disc
+from golden.record import HERE as GOLDEN
 from test_glue_ears_differential import ear_glued
 
 WINDOW = 4
@@ -162,6 +174,81 @@ class WindowDissection(Dissection):
         self._index_corners()
 
 
+def walked_faces(D):
+    """Lifted vertex cycles of the faces of D, one per orbit of the face
+    permutation on the darts of one period.  Each base vertex keeps its
+    neighbours' lifts in counterclockwise order, and a dart u -> v is
+    turned at the base lift of v and translated back, so every step carries
+    its period shift as a voltage; a face closes because its net voltage is
+    0.  A polygon is the period itself: its boundary closes up and every
+    voltage is 0."""
+    s = D.surface
+    n, m = s.n, s.m
+    D._check_arcs()
+    chords = D._chord_lifts(-2 * n, 3 * n - 1, -2 * m, 4 * m - 1)
+    # each base vertex's neighbours, seen from its lift at shift 0, in
+    # counterclockwise order; the puncture keeps its bridges of all five
+    # lifts, so a turn past a period's first reaches the last one before
+    closed = s.kind == "polygon"
+
+    def bottom(x):  # a polygon's boundary closes up after one period
+        return ("b", x % n if closed else x)
+
+    rot = {("b", i): [bottom(i - 1), bottom(i + 1)] for i in range(n)}
+    rot.update({("t", j): [("t", j - 1), ("t", j + 1)] for j in range(m)})
+    if s.kind == "disc":
+        rot[_INF] = []
+    for p, q in chords:
+        for v, u in ((p, q), (q, p)):
+            if v in rot:
+                rot[v].append(u)
+    # a turn only reads the cyclic order, so sorting by boundary rank from
+    # any start will do
+    turn = {}  # turn[v][u]: the vertex after v on the face left of u -> v
+    for v, nbrs in rot.items():
+        nbrs.sort(key=_rank)
+        turn[v] = {u: nbrs[k - 1] for k, u in enumerate(nbrs)}
+
+    def anchor(u, v, t):
+        """The dart u -> v of lift t, moved so that its head (its tail at
+        the puncture) sits at shift 0, and the lift it is then read in."""
+        w = u if v is _INF else v
+        k = w[1] // (n if w[0] == "b" else m)
+        if not k:
+            return u, v, t
+        return (_translate_vertex(u, -k, n, m), _translate_vertex(v, -k, n, m),
+                t + k)
+
+    # darts with the outside of the strip on their left are never walked
+    seen = {(bottom(i + 1), ("b", i)) for i in range(n)}
+    seen.update((("t", j - 1), ("t", j)) for j in range(m))
+    faces = []
+    for v0, nbrs in rot.items():
+        for u0 in nbrs:
+            if (v0, u0) in seen:  # an anchored dart, walked already
+                continue
+            u, v, t = start = anchor(v0, u0, 0)
+            cyc = []
+            while (u, v) not in seen:
+                seen.add((u, v))
+                cyc.append(_translate_vertex(u, t, n, m) if t else u)
+                u, v, t = anchor(v, turn[v][u], t)
+            if cyc:
+                if (u, v, t) != start:
+                    raise ValueError("a face walk does not close up")
+                faces.append(tuple(cyc))
+    return faces
+
+
+class WalkedDissection(Dissection):
+    """A dissection whose faces are walked, each listed from its leftmost
+    bottom vertex by ``_normal_face``."""
+
+    def _compute_faces(self):
+        n, m = self.surface.n, self.surface.m
+        self._set_faces(_normal_face(f, n, m)[0] for f in walked_faces(self))
+
+
 def outcome(cls, surface, arcs):
     """Faces, corner tables and corner choices over three periods of the
     dissection ``cls`` builds, or its error message."""
@@ -176,12 +263,21 @@ def outcome(cls, surface, arcs):
     return (D.base_faces, D.outer_corners, D.inner_corners, choices)
 
 
+def agreed(surface, arcs):
+    """The sweep's ``outcome``, once the walk and the window have given the
+    same."""
+    got = outcome(Dissection, surface, arcs)
+    for cls in (WalkedDissection, WindowDissection):
+        assert outcome(cls, surface, arcs) == got, (cls.__name__, surface,
+                                                     arcs)
+    return got
+
+
 def assert_same(D):
-    """The walk and the window agree on the base dissection of D."""
+    """The sweep, the walk and the window agree on the base dissection of
+    D."""
     base = D.base
-    got = outcome(Dissection, base.surface, base.arcs)
-    assert got == outcome(WindowDissection, base.surface, base.arcs)
-    assert not isinstance(got, str)
+    assert not isinstance(agreed(base.surface, base.arcs), str)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,8 +327,7 @@ def test_single_vertex_boundaries_and_one_bridge():
         (annulus(2, 2), [Arc("bridge", 1, 1, 0), Arc("peri", 1, 1)]),
     ]
     for surface, arcs in cases:
-        got = outcome(Dissection, surface, arcs)
-        assert got == outcome(WindowDissection, surface, arcs)
+        agreed(surface, arcs)
 
 
 def random_arcs(rng, kind):
@@ -261,8 +356,7 @@ def test_random_arc_soups(kind):
     valid = 0
     for _ in range(600):
         surface, arcs = random_arcs(rng, kind)
-        got = outcome(Dissection, surface, arcs)
-        assert got == outcome(WindowDissection, surface, arcs), (surface, arcs)
+        got = agreed(surface, arcs)
         valid += not isinstance(got, str)
     # both valid dissections and refused soups are exercised
     assert 50 < valid < 550
@@ -305,8 +399,7 @@ def test_polygon_faces_match_the_chord_diagram():
     for _ in range(1500):
         n = rng.randint(3, 14)
         arcs = polygon_chords(rng, n)
-        got = outcome(Dissection, polygon(n), arcs)
-        assert got == outcome(WindowDissection, polygon(n), arcs), (n, arcs)
+        got = agreed(polygon(n), arcs)
         if isinstance(got, str):
             errors.add(got)
         else:
@@ -314,9 +407,7 @@ def test_polygon_faces_match_the_chord_diagram():
     for n in range(3, 31):
         for _ in range(8):
             arcs = noncrossing_chords(rng, n)
-            got = outcome(Dissection, polygon(n), arcs)
-            assert got == outcome(WindowDissection, polygon(n), arcs), (n, arcs)
-            assert not isinstance(got, str)
+            assert not isinstance(agreed(polygon(n), arcs), str)
     # every refusal a diagonal soup can meet, and valid soups, including
     # the empty one, are exercised
     assert errors == {
@@ -354,4 +445,68 @@ def test_parsed_dissections_match_the_window(kind, n, m, lines):
     header = {"annulus": "annulus %d %d" % (n, m), "disc": "disc %d" % n,
               "polygon": "polygon %d" % (n + 2)}[kind]
     text = "\n".join([header] + lines)
-    assert parsed(text, Dissection) == parsed(text, WindowDissection)
+    got = parsed(text, Dissection)
+    assert got == parsed(text, WalkedDissection)
+    assert got == parsed(text, WindowDissection)
+
+
+def test_every_dissection_of_the_search_matches_the_walk():
+    """Every arc set the exhaustive search of ``test_dissection_oracle``
+    builds, refused or not; the annulus ones are the bases of its
+    single-glue quotients.  Corner choices follow from the corner tables,
+    so the tables are compared."""
+    refused = Counter()
+
+    def checked(surface, arcs):
+        try:
+            D = Dissection(surface, arcs)
+        except ValueError as exc:
+            refused[str(exc)] += 1
+            assert outcome(WalkedDissection, surface, arcs) == "error: %s" % exc
+            raise
+        W = WalkedDissection(surface, arcs)
+        assert (W.base_faces, W.outer_corners, W.inner_corners) == (
+            D.base_faces, D.outer_corners, D.inner_corners), (surface, arcs)
+        return D
+
+    with mock.patch.object(test_dissection_oracle, "Dissection", checked):
+        found = [D for s in test_dissection_oracle.surfaces()
+                 for D in test_dissection_oracle.dissections(s)]
+    assert len(found) == 13457
+    assert refused == {
+        "annulus dissection must contain a bridging arc": 508,
+        "punctured-disc dissection must contain a bridging arc": 402,
+        "duplicate arc or arc parallel to a boundary edge": 300}
+
+
+def test_golden_dissection_inputs_match_the_walk():
+    """Every golden input parsed as a dissection; the text parser refuses
+    the files holding a cycle at their first line."""
+    inputs = os.path.join(GOLDEN, "inputs")
+    built = []
+    for name in sorted(os.listdir(inputs)):
+        with open(os.path.join(inputs, name)) as fh:
+            text = fh.read()
+        got = parsed(text, Dissection)
+        assert got == parsed(text, WalkedDissection), name
+        if not (isinstance(got, str) and got.startswith("error: line ")):
+            built.append(got)
+    assert len(built) == 12
+    assert sorted(got for got in built if isinstance(got, str)) == [
+        "error: crossing arcs"] + [
+        "error: duplicate arc or arc parallel to a boundary edge"] * 2
+
+
+def test_random_polygons_discs_and_annuli_match_the_walk():
+    rng = random.Random(30)
+    sizes = set()
+    for _ in range(200):
+        D = random_polygon_dissection(rng, 4, 30, 27)
+        sizes.add(D.surface.n)
+        assert_same(D)
+    assert min(sizes) == 4 and max(sizes) == 30
+    # ``random_witness`` almost never draws a disc, so discs come from
+    # ``random_disc``
+    for _ in range(40):
+        assert_same(random_disc(rng)[1].witness)
+        assert_same(random_witness(rng, ("annulus",))[1].witness)

@@ -13,12 +13,14 @@ import random
 
 import pytest
 
-from artifact import (Arc, Dissection, Surface, cut, format_dissection,
-                      glue, glue_ear, glue_ears, parse_dissection_text,
-                      quiddity_new, quiddity_of, rotate_dissection,
-                      valid_pchoices, witness_nonuniqueness_probe)
+from artifact import (Arc, Dissection, Surface, classify_realizability, cut,
+                      format_dissection, glue, glue_ear, glue_ears,
+                      parse_dissection_text, quiddity_new, quiddity_of,
+                      rotate_dissection, valid_pchoices,
+                      witness_nonuniqueness_probe)
 from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
                           random_witness)
+from artifact import realize
 from artifact.realize import _classify, _classify_core, _construct
 from artifact.surface import QuotientDissection, _normal_face
 
@@ -223,6 +225,32 @@ def test_probe_witnesses_match_the_chain():
             assert quiddity_of(W).A == Q.A
         probed += len(got)
     assert probed > len(cycles)
+
+
+def test_the_probe_builds_each_witness_once(monkeypatch):
+    """The classification's witness is the probe's first, so the probe
+    constructs each clash-free choice of the core once, that one in the
+    classification."""
+    built = []
+    construct = realize._construct
+
+    def counted(Q, pchoice):
+        built.append(tuple(pchoice))
+        return construct(Q, pchoice)
+
+    monkeypatch.setattr(realize, "_construct", counted)
+    rng = random.Random(13)
+    cycles = [quiddity_new([(3, 4)] * 20)] + [
+        ear_glued(CORES[name][0], 24, rng)
+        for name in ("disc-33", "disc-44-4", "annulus-readme")]
+    for Q in cycles:
+        core = _classify(Q)[1]
+        built.clear()
+        got = witness_nonuniqueness_probe(Q)
+        assert built == [tuple(pc) for pc in valid_pchoices(core)]
+        assert format_dissection(got[0]) == format_dissection(
+            classify_realizability(Q).witness)
+    assert len(witness_nonuniqueness_probe(cycles[0])) == 2
 
 
 def _random_steps(rng, D, count):

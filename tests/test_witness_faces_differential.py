@@ -1,18 +1,22 @@
-"""Assembled faces against the face walk.
+"""Assembled faces against the faces swept from the arcs.
 
-Classification walks no face.  ``realize._construct`` reads the faces of a
-skeletal core off its layout: consecutive bridge ends (a, y), (b, w)
-bound the face from v_a to v_b along the bottom, then from w down to y
-along the top, or through the puncture of a disc; a constant core's
+Classification finds no face from arcs.  ``realize._construct`` reads the
+faces of a skeletal core off its layout: consecutive bridge ends (a, y),
+(b, w) bound the face from v_a to v_b along the bottom, then from w down
+to y along the top, or through the puncture of a disc; a constant core's
 polygon is its one face.  The arcs of a core are still checked for
-duplicates, boundary parallels and crossings, as the walk checks them.
-``glue_ears`` moves the faces of the dissection it glues onto by its
-vertex map and adds one face per ear, and ``dissection_power`` translates
-the base faces k times.  The walk, ``Dissection(surface, arcs)``, stays
-the path for parsed input and is the oracle here: every core of the
-layout differential's cycles and every witness must have the walked
-build's faces and corner tables, and a quotient's glue must name the same
-faces as when every build walks.
+duplicates, boundary parallels and crossings.  ``glue_ears`` moves the
+faces of the dissection it glues onto by its vertex map and adds one
+face per ear, and ``dissection_power`` translates the base faces k times.
+A build from arcs alone, ``Dissection(surface, arcs)``, is the path for
+parsed input: it sweeps the boundary positions of the arc lifts once,
+with a stack of open chords, each holding the face under it.  That build
+is the oracle here, and "walked" in the names below means it:
+every core of the layout differential's cycles and every witness must
+have its faces and corner tables, and a quotient's glue must name the
+same faces as when every build finds its faces from its arcs.  The
+sweep itself is checked against the dart walk in
+``test_face_walk_differential``.
 """
 
 import json
@@ -23,9 +27,10 @@ from unittest import mock
 
 import pytest
 
-from artifact import (classify_realizability, dissection_power, glue_ear,
-                      glue_ears, polygon, quiddity_new, rotate_dissection,
-                      witness_nonuniqueness_probe)
+from artifact import (classify_realizability, dissection_power,
+                      format_dissection, glue_ear, glue_ears,
+                      parse_dissection_text, polygon, quiddity_new,
+                      rotate_dissection, witness_nonuniqueness_probe)
 from artifact.cli import random_quotient_cycle
 from artifact.realize import (_classify, _classify_core, _construct,
                               _fewest_clashes, all_pchoices)
@@ -38,11 +43,12 @@ from test_glue_ears_differential import CORES, ear_glued
 
 
 def walked(surface, arcs, *faces):
+    """The build of the arcs alone, which sweeps for its faces."""
     return Dissection(surface, arcs)
 
 
 def by_walk(make, *args):
-    """make(*args) with every build walking its faces."""
+    """make(*args) with every build finding its faces from its arcs."""
     with mock.patch.object(Dissection, "_assemble",
                            classmethod(lambda cls, *a: walked(*a))):
         return make(*args)
@@ -224,9 +230,9 @@ def test_a_reversed_top_run_fails_the_oracle(monkeypatch):
 
 def test_classification_walks_no_face(monkeypatch):
     def refuse(self):
-        raise AssertionError("classification walked a face")
+        raise AssertionError("classification swept a face")
 
-    monkeypatch.setattr(Dissection, "_walk_faces", refuse)
+    monkeypatch.setattr(Dissection, "_compute_faces", refuse)
     kinds = Counter(classify_realizability(quiddity_new(A)).kind
                     for A in SHORT)
     assert kinds == {"unrealizable": 4211, "annulus": 1762,
@@ -241,5 +247,22 @@ def test_classification_walks_no_face(monkeypatch):
     Q = ear_glued(CORES["annulus-readme"][0], 40, random.Random(40))
     cls = classify_realizability(Q)
     assert cls.kind == "annulus" and cls.witness.surface.n == 40
-    with pytest.raises(AssertionError, match="walked"):
+    with pytest.raises(AssertionError, match="swept"):
         Dissection(polygon(3), [])
+
+
+@pytest.mark.parametrize("n", [400, 4000])
+def test_parsed_witnesses_at_scale_equal_their_assembly(n):
+    """Both builders at once: the parse of a large assembled witness's text
+    sweeps the faces and corners the assembly gave it."""
+    rng = random.Random(n)
+    for core, kind in ((CORES["annulus-readme"][0], "annulus"),
+                       (CORES["disc-33"][0], "punctured_disc"),
+                       ([(3,)] * 3, "polygon")):
+        cls = classify_realizability(ear_glued(core, n, rng))
+        W = cls.witness
+        assert (cls.kind, W.surface.n) == (kind, n)
+        P = parse_dissection_text(format_dissection(W))
+        assert P.base_faces == W.base_faces
+        assert P.outer_corners == W.outer_corners
+        assert P.inner_corners == W.inner_corners
