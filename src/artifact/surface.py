@@ -19,7 +19,8 @@ which gluing one ear and rotating the labels are one-step forms.  Only
 parsed input is swept: a skeletal core's faces are read off its layout,
 and its arcs still get the sweep's arc check; a glued dissection's faces
 are those it glues onto, moved by the map, plus one per ear, and a
-power's are its base faces, translated.
+power's are its base faces, translated.  A build checks the tiling by
+counting each vertex's corners and orders them only when a table is read.
 
 Strip coordinates: the bottom vertex v_i^k sits at global position
 x = (i-1) + k*n, the top vertex w_j^k at y = (j-1) + k*m.  A bridging arc
@@ -37,7 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .ring import make_context
 
@@ -74,9 +75,9 @@ def annulus(n, m):
     return Surface("annulus", n, m)
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """An arc of a dissection.
+class Arc(NamedTuple):
+    """An arc of a dissection; a named tuple, so it orders, hashes and
+    compares equal as the plain tuple (kind, a, b, shift).
 
     kinds: ``peri`` (counterclockwise outer peripheral from v_a to v_b),
     ``bridge`` (annulus, v_a to w_b with a strip shift bit),
@@ -90,12 +91,6 @@ class Arc:
 
 # vertex labels in the strip: ("b", x) bottom, ("t", y) top, ("inf",) puncture
 _INF = ("inf",)
-
-
-def _rank(v):
-    """Place of v along a strip window's boundary, counterclockwise: the
-    bottom rightward, then the top leftward or the puncture, never both."""
-    return ("t", -v[1]) if v[0] == "t" else v
 
 
 def _translate_vertex(v, t, n, m):
@@ -135,8 +130,7 @@ def _arc_of(kind, p, q, n, m):
     return Arc(kind, i + 1, q[1] % n + 1)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A base face (subgon): cyclic vertex list in counterclockwise order,
     listed from its leftmost bottom vertex, which lies in [0, n)."""
     id: int
@@ -206,7 +200,8 @@ class Dissection:
     ``base_faces`` is a list of Face records with deterministic ids; lifted
     faces are pairs (fid, t) meaning the base face translated t periods to
     the right.  ``outer_corners[i]`` lists the lifts having a corner at
-    v_i^0 in counterclockwise angular order around the vertex.
+    v_i^0 in counterclockwise angular order around the vertex, and
+    ``inner_corners[j]`` those at w_j^0; both are ordered on first read.
     """
 
     def __init__(self, surface, arcs):
@@ -352,25 +347,20 @@ class Dissection:
         self._index_corners()
 
     def _index_corners(self):
+        """Drop each face corner (face, index) into the bucket of its vertex
+        and check the tiling by counting: a vertex with d arc ends has d + 1
+        corners.  The buckets are put in order only when a table is read."""
         s = self.surface
         n, m = s.n, s.m
-        self.outer_corners = {i: [] for i in range(1, n + 1)}
-        self.inner_corners = {j: [] for j in range(1, m + 1)} if s.kind == "annulus" else {}
-        # corners run counterclockwise around v: by the place of the next
-        # vertex of the face along the strip boundary, from v on
+        outer = [[] for _ in range(n)]
+        inner = [[] for _ in range(m)]
         for f in self.base_faces:
-            k = f.size
-            for idx, v in enumerate(f.verts):
+            for k, v in enumerate(f.verts):
                 if v[0] == "b":
-                    table, period = self.outer_corners, n
+                    outer[v[1] % n].append((f, k))
                 elif v[0] == "t":
-                    table, period = self.inner_corners, m
-                else:
-                    continue
-                i = v[1] % period + 1
-                t = (i - 1 - v[1]) // period
-                nxt = _rank(_translate_vertex(f.verts[(idx + 1) % k], t, n, m))
-                table[i].append((nxt <= _rank((v[0], i - 1)), nxt, f.id, t))
+                    inner[v[1] % m].append((f, k))
+        self._corners = outer, inner
         # arc endpoints per vertex, counted in one pass over the arcs
         outer_degree = [0] * (n + 1)
         inner_degree = [0] * (m + 1)
@@ -380,15 +370,41 @@ class Dissection:
                 outer_degree[arc.b] += 1
             elif arc.kind == "bridge":
                 inner_degree[arc.b] += 1
-        for table, degree in ((self.outer_corners, outer_degree),
-                              (self.inner_corners, inner_degree)):
-            for i in table:
-                table[i] = [(fid, t) for _w, _r, fid, t in sorted(table[i])]
-                if len(table[i]) != degree[i] + 1:
+        for buckets, degree in ((outer, outer_degree), (inner, inner_degree)):
+            for i, bucket in enumerate(buckets, 1):
+                if len(bucket) != degree[i] + 1:
                     raise ValueError(
                         "region around a vertex is not tiled by polygons "
                         "(vertex %d: %d corners, degree %d)"
-                        % (i, len(table[i]), degree[i]))
+                        % (i, len(bucket), degree[i]))
+
+    outer_corners = cached_property(lambda self: self._ordered_corners(0))
+    inner_corners = cached_property(lambda self: self._ordered_corners(1))
+
+    def _ordered_corners(self, inner):
+        """Label -> the lifts (fid, t) with a corner at the vertex's lift 0,
+        counterclockwise: by the place of the face's next vertex along the
+        strip boundary, from the vertex on, then by (fid, t).  Places are
+        ``_check_arcs``'s: bottom x at x, top y at 3n + 4m - y, the puncture
+        at 3n (m = 0).  A next vertex lies in [-2n, 2n) or [-2m, 3m), so one
+        round, 2(3n + 4m), moves a place at or before its vertex's past all."""
+        n, m = self.surface.n, self.surface.m
+        top = 3 * n + 4 * m
+        period = m if inner else n
+        table = {}
+        for i, bucket in enumerate(self._corners[inner]):
+            own = top - i if inner else i
+            keyed = []
+            for f, k in bucket:
+                verts = f.verts
+                t = -(verts[k][1] // period)  # periods that move it to i
+                w = verts[(k + 1) % len(verts)]
+                p = (w[1] + t * n if w[0] == "b" else
+                     top - w[1] - t * m if w[0] == "t" else top)
+                keyed.append((p if p > own else p + 2 * top, f.id, t))
+            keyed.sort()
+            table[i + 1] = [(fid, t) for _p, fid, t in keyed]
+        return table
 
     # -- lifted-face helpers -------------------------------------------------
 
@@ -509,8 +525,6 @@ class QuotientDissection(Dissection):
         self.surface = base.surface
         self.arcs = base.arcs
         self.base_faces = base.base_faces
-        self.outer_corners = base.outer_corners
-        self.inner_corners = base.inner_corners
         # a pair (fa, fb) closes over every shared outer vertex; a triple
         # (fa, fb, delta) glues only at the stated translation offset
         self.trace = tuple(tuple(int(x) for x in p) for p in pairs)
@@ -560,6 +574,9 @@ class QuotientDissection(Dissection):
                 raise ValueError("cannot identify subgons sharing an edge")
             self._classes.union(fa, fb, d)
 
+    outer_corners = property(lambda self: self.base_dissection.outer_corners)
+    inner_corners = property(lambda self: self.base_dissection.inner_corners)
+
     def class_key(self, fid, t):
         return self._classes.key(fid, t)
 
@@ -600,20 +617,18 @@ def _corner_multisets(D, boundary="outer"):
     every corner is its own class, so self-folded subgons contribute once
     per corner)."""
     s = D.surface
-    if boundary == "inner":
-        if s.kind != "annulus":
-            raise ValueError("inner boundary only exists on annuli")
-        # read counterclockwise with respect to the inner boundary, which
-        # reverses the strip direction
-        labels, table = range(s.m, 0, -1), D.inner_corners
-    else:
-        labels, table = range(1, s.n + 1), D.outer_corners
+    inner = boundary == "inner"
+    if inner and s.kind != "annulus":
+        raise ValueError("inner boundary only exists on annuli")
+    # read counterclockwise with respect to the inner boundary, which
+    # reverses the strip direction
+    labels = range(s.m, 0, -1) if inner else range(1, s.n + 1)
     if D.is_quotient():   # identified lifts at one vertex count once
-        table = {i: [c[1:] for c in D.corner_choices(i - 1, boundary)]
-                 for i in labels}
-    size = [f.size for f in D.base_faces]
-    return tuple(tuple(sorted(size[fid] for fid, _t in table[i]))
-                 for i in labels)
+        rows = ([D.face(c[1]) for c in D.corner_choices(i - 1, boundary)]
+                for i in labels)
+    else:                 # a multiset: the unordered buckets will do
+        rows = ([f for f, _k in D._corners[inner][i - 1]] for i in labels)
+    return tuple(tuple(sorted(len(f.verts) for f in row)) for row in rows)
 
 
 def quiddity_of(D, boundary="outer"):

@@ -1,7 +1,7 @@
-"""The corner-table read of ``_corner_multisets`` against the class read.
+"""The bucket read of ``_corner_multisets`` against the class read.
 
 ``surface._corner_multisets`` reads a plain dissection's multisets straight
-from its corner tables and counts identified lifts once only on
+from its unordered corner buckets and counts identified lifts once only on
 quotients, through ``corner_choices``.  The oracle reads every dissection
 through ``corner_choices``, as every dissection once was: both must agree,
 outer and inner, on the plain and quotient witnesses of the short cycles

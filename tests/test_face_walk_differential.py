@@ -34,11 +34,11 @@ from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
                           random_witness)
 from artifact.realize import _classify
 from artifact.surface import (Dissection, Face, _INF, _check_nesting,
-                              _normal_face, _rank, _translate_vertex,
-                              chords_cross)
+                              _normal_face, _translate_vertex, chords_cross)
 
 import test_dissection_oracle
 from conftest import ANNULUS_334_TEXT, random_disc
+from test_corner_order_differential import _rank
 from golden.record import HERE as GOLDEN
 from test_glue_ears_differential import ear_glued
 
