@@ -6,9 +6,9 @@ matching, growth coefficient, and T-path formulas."""
 from .ring import (RingContext, RingElem, make_context, chebyshev_u,
                    sign_of, format_elem)
 from .frieze import (QuiddityCycle, FriezeTable, quiddity_new,
-                     format_quiddity, growth_coefficient, growth_coefficients,
-                     check_positivity, cut, glue, singleton_runs,
-                     realizability_test, is_skeletal_quiddity)
+                     format_quiddity, parse_quiddity_text, growth_coefficient,
+                     growth_coefficients, check_positivity, cut, glue,
+                     singleton_runs, realizability_test, is_skeletal_quiddity)
 from .surface import (Surface, Arc, Dissection, QuotientDissection,
                       polygon, punctured_disc, annulus, build_dissection,
                       make_quotient, quiddity_of,
@@ -25,4 +25,4 @@ from .matchings import (Matching, enumerate_matchings,
                         DEFAULT_BUDGET)
 from .tpaths import (TPath, enumerate_tpaths, tpath_weight, tpath_sum,
                      weighted_tpaths, phi_bijection)
-from .cli import main, dispatch, parse_quiddity_text, render_svg
+from .cli import main, dispatch, render_svg

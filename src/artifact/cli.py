@@ -1,6 +1,6 @@
 """Command-line interface: frieze generation, realizability classification,
-growth coefficients, matching and T-path enumeration, verification suites,
-and schematic SVG rendering.
+growth coefficients, matching and T-path enumeration, the verification
+suites of ``artifact.suites``, and schematic SVG rendering.
 
 Exit codes: 0 success, 1 mathematical negative (e.g. unrealizable cycle),
 2 input error, 3 internal assertion failure.
@@ -10,20 +10,17 @@ import argparse
 import functools
 import math
 import random
-import re
 import sys
 
-from .ring import format_elem, make_context
-from .frieze import (FriezeTable, QuiddityCycle, format_quiddity,
-                     quiddity_new, check_positivity, growth_coefficients,
-                     _sizes)
-from .surface import (parse_dissection_text, format_dissection, quiddity_of,
-                      dissection_power, chords_cross, _arc_ends)
+from .ring import format_elem
+from .frieze import FriezeTable, growth_coefficients, parse_quiddity_text
+from .surface import (parse_dissection_text, format_dissection,
+                      dissection_power, _arc_ends)
 from .realize import classify_realizability, witness_nonuniqueness_probe
 from .matchings import (check_window, enumerate_matchings, weigh_matching,
-                        matching_sum, growth_via_annulus_weight,
-                        inner_outer_consistency, DEFAULT_BUDGET)
+                        matching_sum, DEFAULT_BUDGET)
 from .tpaths import weighted_tpaths, phi_bijection
+from .suites import SUITES
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -34,58 +31,6 @@ EXIT_INTERNAL = 3
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
-
-# a whole line of well-formed multisets; \s is exactly str.isspace
-_CYCLE = re.compile(r"\s*(?:\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\]\s*)+")
-_BODY = re.compile(r"\[([^\]]*)\]")
-
-
-def parse_quiddity_text(line):
-    """Parse one cycle in the bracketed-multiset format, e.g.
-    ``[3,3,4] [3] [3,3,4,4]``.  ``#`` starts a comment.  A well-formed line
-    is read in one regex pass; where ``int`` or ``make_context`` (sizes
-    below 3, the degree cap) refuse it, the character loop reads it again
-    and alone reports errors."""
-    src = line.split("#", 1)[0]
-    if _CYCLE.fullmatch(src):
-        try:
-            A = tuple(tuple(sorted(map(int, body.split(","))))
-                      for body in _BODY.findall(src))
-            return QuiddityCycle._trusted(A, make_context(_sizes(A)))
-        except ValueError:
-            pass
-    A = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "[":
-            raise ValueError("offset %d: expected '['" % i)
-        j = src.find("]", i)
-        if j < 0:
-            raise ValueError("offset %d: unterminated multiset" % i)
-        body = src[i + 1:j]
-        entries = []
-        pos = i + 1
-        for tok in body.split(","):
-            stripped = tok.strip()
-            at = pos + tok.index(stripped) if stripped else pos
-            if not (stripped.isascii() and stripped.isdigit()):
-                raise ValueError("offset %d: expected an integer" % at)
-            p = int(stripped)
-            if p < 3:
-                raise ValueError("offset %d: subgon size %d is below 3"
-                                 % (at, p))
-            entries.append(p)
-            pos += len(tok) + 1
-        A.append(tuple(sorted(entries)))
-        i = j + 1
-    if not A:
-        raise ValueError("no multisets found")
-    return quiddity_new(A)
-
 
 def _read_text(path):
     if path == "-":
@@ -233,213 +178,10 @@ def _cmd_power(args, out):
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# random instance generators (shared with the test suite)
-# ---------------------------------------------------------------------------
-
-SIZES = (3, 4, 5, 6)
-
-
-def random_quiddity(rng, nmin=2, nmax=5, sizes=SIZES):
-    """Random cycle built around a gap-size chain, so adjacent multisets
-    always intersect; occasionally collapsed to singletons for variety."""
-    n = rng.randint(nmin, nmax)
-    gaps = [rng.choice(sizes) for _ in range(n)]
-    A = []
-    for i in range(n):
-        entries = [gaps[i - 1], gaps[i]]
-        if gaps[i - 1] == gaps[i] and rng.random() < 0.3:
-            entries = [gaps[i]]
-        else:
-            entries += [rng.choice(sizes) for _ in range(rng.randint(0, 2))]
-        A.append(tuple(sorted(entries)))
-    return quiddity_new(A)
-
-
-def random_free_quiddity(rng, nmin=2, nmax=5, sizes=SIZES):
-    """Unconstrained random cycle (may well be unrealizable)."""
-    n = rng.randint(nmin, nmax)
-    return quiddity_new([
-        tuple(sorted(rng.choice(sizes) for _ in range(rng.randint(1, 3))))
-        for _ in range(n)])
-
-
-def random_polygon_dissection(rng, nmin=4, nmax=9, max_arcs=8):
-    from .surface import Arc, build_dissection, polygon
-    n = rng.randint(nmin, nmax)
-    cand = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)
-            if not (a == 1 and b == n)]
-    rng.shuffle(cand)
-    arcs = []
-    for a, b in cand:
-        if len(arcs) >= max_arcs or rng.random() < 0.3:
-            continue
-        if all(not chords_cross(a, b, c, d) for c, d in
-               ((x.a, x.b) for x in arcs)):
-            arcs.append(Arc("diag", a, b))
-    return build_dissection(polygon(n), arcs)
-
-
-def random_witness(rng, kinds, attempts=200):
-    """Random realizable cycle's witness with the classification kind in
-    ``kinds``; raises if the attempt budget runs out."""
-    for _ in range(attempts):
-        Q = random_quiddity(rng)
-        cls = classify_realizability(Q)
-        if cls.kind in kinds:
-            return Q, cls
-    raise AssertionError("no %s witness found in %d attempts"
-                         % ("/".join(kinds), attempts))
-
-
-def random_quotient_cycle(rng, attempts=200):
-    """Random cycle classifying as quotient annulus: a singleton-forced
-    gap size clashing at a larger multiset, plus random extras."""
-    for _ in range(attempts):
-        p = rng.choice([s for s in SIZES if s > 3])
-        n = rng.randint(2, 4)
-        A = []
-        for i in range(n):
-            if i % 2 == 0 and rng.random() < 0.7:
-                A.append((p,))
-            else:
-                extras = [rng.choice(SIZES) for _ in range(rng.randint(1, 2))]
-                A.append(tuple(sorted([p] + extras)))
-        Q = quiddity_new(A)
-        cls = classify_realizability(Q)
-        if cls.kind == "quotient_annulus":
-            return Q, cls
-    raise AssertionError("no quotient cycle found in %d attempts" % attempts)
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_unimodular(rng, count, out):
-    fails = 0
-    for _ in range(count):
-        Q = random_free_quiddity(rng)
-        F = FriezeTable(Q)
-        one = Q.context.one()
-        depth = 3 * Q.n
-        for i in range(Q.n):
-            for j in range(i + 1, i + depth):
-                det = (F.entry(i, j) * F.entry(i + 1, j + 1)
-                       - F.entry(i, j + 1) * F.entry(i + 1, j))
-                if det != one:
-                    fails += 1
-                    out.write("diamond fails at (%d,%d) for %s\n"
-                              % (i, j, format_quiddity(Q)))
-                    break
-            else:
-                continue
-            break
-    return fails
-
-
-def _suite_weights_equal(rng, count, out):
-    fails = 0
-    for _ in range(count):
-        if rng.random() < 0.5:
-            D = random_polygon_dissection(rng)
-        else:
-            _Q, cls = random_witness(rng, ("punctured_disc", "annulus"))
-            D = cls.witness
-        n = D.surface.n
-        i = rng.randint(0, n - 1)
-        # on a polygon the window must not wrap around the boundary
-        span = n - 1 if D.surface.kind == "polygon" else n + 1
-        j = i + rng.randint(1, span)
-        a = matching_sum(D, i, j, "local")
-        b = matching_sum(D, i, j, "traditional")
-        if a != b:
-            fails += 1
-            out.write("local/traditional weights differ on window (%d,%d)\n"
-                      % (i, j))
-    return fails
-
-
-def _suite_growth_matching(rng, count, out):
-    fails = 0
-    for _ in range(count):
-        _Q, cls = random_witness(rng, ("annulus",))
-        try:
-            growth_via_annulus_weight(cls.witness, 1)
-        except AssertionError as exc:
-            fails += 1
-            out.write("growth mismatch: %s\n" % exc)
-    return fails
-
-
-def _suite_inner_outer(rng, count, out):
-    fails = 0
-    for _ in range(count):
-        _Q, cls = random_witness(rng, ("annulus",))
-        equal, s_out, s_in = inner_outer_consistency(cls.witness)
-        if not equal:
-            fails += 1
-            out.write("inner/outer growth differs: %s vs %s\n"
-                      % (format_elem(s_out), format_elem(s_in)))
-    return fails
-
-
-def _suite_phi(rng, count, out):
-    fails = 0
-    for _ in range(count):
-        D = random_polygon_dissection(rng)
-        n = D.surface.n
-        i = rng.randint(1, n - 1)
-        j = rng.randint(i + 1, n)
-        try:
-            phi_bijection(D, i, j)
-        except AssertionError as exc:
-            fails += 1
-            out.write("phi fails on %d->%d of %s: %s\n"
-                      % (i, j, format_dissection(D).replace("\n", "; "), exc))
-    return fails
-
-
-def _suite_positivity_sweep(rng, count, out):
-    """Reports the positivity verdicts on quotient cycles, which may be
-    nonpositive; fails on a realizable witness not provably positive."""
-    logged = {}
-    for _ in range(count):
-        Q, _cls = random_quotient_cycle(rng)
-        verdict = check_positivity(FriezeTable(Q))
-        logged[verdict.kind] = logged.get(verdict.kind, 0) + 1
-    for kind in sorted(logged):
-        out.write("  %s: %d\n" % (kind, logged[kind]))
-    fails = 0
-    for k in range(count):
-        if k % 2:
-            Q, cls = random_witness(rng, ("punctured_disc", "annulus"))
-            kind = cls.kind
-        else:
-            Q, kind = quiddity_of(random_polygon_dissection(rng)), "polygon"
-        verdict = check_positivity(FriezeTable(Q))
-        if verdict.kind != "provably_positive":
-            fails += 1
-            out.write("realizable %s frieze is %s: %s\n"
-                      % (kind, verdict.kind, format_quiddity(Q)))
-    return fails
-
-
-_SUITES = {
-    "unimodular": _suite_unimodular,
-    "weights-equal": _suite_weights_equal,
-    "growth-matching": _suite_growth_matching,
-    "inner-outer": _suite_inner_outer,
-    "phi": _suite_phi,
-    "positivity-sweep": _suite_positivity_sweep,
-}
-
-
 def _cmd_verify(args, out):
     if args.count < 0:
         raise ValueError("count must be >= 0")
-    rng = random.Random(args.seed)
-    fails = _SUITES[args.suite](rng, args.count, out)
+    fails = SUITES[args.suite](random.Random(args.seed), args.count, out)
     out.write("suite %s: %d pass, %d fail\n"
               % (args.suite, args.count - fails, fails))
     return EXIT_OK if fails == 0 else EXIT_NEGATIVE
@@ -579,7 +321,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=2)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
 

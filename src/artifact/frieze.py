@@ -9,7 +9,8 @@ The multiset sequence, not the ring values, is the primary input: the
 realizability machinery needs the sets A_i themselves.  The values would
 determine them: in every ring within MAX_DEGREE, 1 and the lambda_p for
 p | L are linearly independent over Q, so a value is a sum of lambda_p in
-at most one way.
+at most one way.  ``parse_quiddity_text`` reads the multisets from text
+such as ``[3,3,4] [3] [3,3,4,4]``, and ``format_quiddity`` writes them.
 
 Indices follow the paper: quiddity positions are 1-based and cyclic mod n;
 frieze table indices (i, j) are arbitrary integers with j >= i.
@@ -23,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, count
 from operator import index
+import re
 from typing import Optional
 
 from .ring import RingElem, make_context, sign_of
@@ -109,6 +111,58 @@ def quiddity_new(A):
 
 def format_quiddity(q):
     return " ".join("[%s]" % ",".join(str(p) for p in a) for a in q.A)
+
+
+# a whole line of well-formed multisets; \s is exactly str.isspace
+_CYCLE = re.compile(r"\s*(?:\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\]\s*)+")
+_BODY = re.compile(r"\[([^\]]*)\]")
+
+
+def parse_quiddity_text(line):
+    """Parse one cycle in the bracketed-multiset format, e.g.
+    ``[3,3,4] [3] [3,3,4,4]``.  ``#`` starts a comment.  A well-formed line
+    is read in one regex pass; where ``int`` or ``make_context`` (sizes
+    below 3, the degree cap) refuse it, the character loop reads it again
+    and alone reports errors."""
+    src = line.split("#", 1)[0]
+    if _CYCLE.fullmatch(src):
+        try:
+            A = tuple(tuple(sorted(map(int, body.split(","))))
+                      for body in _BODY.findall(src))
+            return QuiddityCycle._trusted(A, make_context(_sizes(A)))
+        except ValueError:
+            pass
+    A = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "[":
+            raise ValueError("offset %d: expected '['" % i)
+        j = src.find("]", i)
+        if j < 0:
+            raise ValueError("offset %d: unterminated multiset" % i)
+        body = src[i + 1:j]
+        entries = []
+        pos = i + 1
+        for tok in body.split(","):
+            stripped = tok.strip()
+            at = pos + tok.index(stripped) if stripped else pos
+            if not (stripped.isascii() and stripped.isdigit()):
+                raise ValueError("offset %d: expected an integer" % at)
+            p = int(stripped)
+            if p < 3:
+                raise ValueError("offset %d: subgon size %d is below 3"
+                                 % (at, p))
+            entries.append(p)
+            pos += len(tok) + 1
+        A.append(tuple(sorted(entries)))
+        i = j + 1
+    if not A:
+        raise ValueError("no multisets found")
+    return quiddity_new(A)
 
 
 class FriezeTable:

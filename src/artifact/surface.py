@@ -806,26 +806,27 @@ def parse_dissection_text(text):
             continue
         parts = line.split()
         head, args = parts[0], parts[1:]
+        # glue is neither a header nor an arc of the table
+        kind, arity, usage = _DIRECTIVES.get(head, ("glue", None, None))
+        if arity is None and head != "glue":
+            raise ValueError("line %d: unknown directive %r" % (lineno, head))
         # ASCII -?[0-9]+ only: int() also takes "+3", "1_2" and other digits
         if not all(x.isascii() and x.removeprefix("-").isdigit()
                    for x in args):
             raise ValueError("line %d: non-integer argument" % lineno)
         nums = [int(x) for x in args]
-        # glue and unknown heads are neither headers nor arcs of the table
-        kind, arity, usage = _DIRECTIVES.get(head, ("", None, None))
         if kind is None:
             if surface is not None:
                 raise ValueError("line %d: duplicate header" % lineno)
         elif surface is None:
-            raise ValueError("line %d: arc before surface header" % lineno)
-        if head == "glue":
+            raise ValueError("line %d: %s before surface header"
+                             % (lineno, "arc" if arity else "glue"))
+        if arity is None:
             if len(nums) not in (2, 3):
                 raise ValueError("line %d: glue takes two face ids and an "
                                  "optional offset" % lineno)
             glues.append(tuple(nums))
             continue
-        if arity is None:
-            raise ValueError("line %d: unknown directive %r" % (lineno, head))
         if len(nums) != arity:
             raise ValueError("line %d: %s takes %s" % (lineno, head, usage))
         if kind is None:

@@ -34,7 +34,7 @@ DISC_CORES = ([(3, 3)], [(4, 4), (4,)])
 
 def random_disc(rng):
     """(Q, classification) of a punctured-disc cycle: one to four seeded
-    3-, 4- or 5-gon ears glued onto a disc core.  ``cli.random_witness``
+    3-, 4- or 5-gon ears glued onto a disc core.  ``suites.random_witness``
     almost never draws a disc, so tests of the disc side take theirs from
     here."""
     Q = quiddity_new(rng.choice(DISC_CORES))

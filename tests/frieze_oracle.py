@@ -20,7 +20,7 @@ width scan to ``depth`` misses.  ``assert_positivity_decided`` holds
 import io
 import random
 
-import artifact.cli
+import artifact.suites
 from artifact.frieze import FriezeTable, PositivityVerdict, check_positivity
 from artifact.ring import RingElem, sign_of
 
@@ -138,11 +138,11 @@ def sweep_cycles(seed, count):
         seen.append(F.quiddity)
         return saved(F, *depth)
 
-    saved = artifact.cli.check_positivity
-    artifact.cli.check_positivity = recording
+    saved = artifact.suites.check_positivity
+    artifact.suites.check_positivity = recording
     try:
-        artifact.cli._SUITES["positivity-sweep"](random.Random(seed), count,
-                                                 io.StringIO())
+        artifact.suites.SUITES["positivity-sweep"](random.Random(seed), count,
+                                                   io.StringIO())
     finally:
-        artifact.cli.check_positivity = saved
+        artifact.suites.check_positivity = saved
     return seen

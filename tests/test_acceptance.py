@@ -19,8 +19,9 @@ from artifact import (Arc, BudgetExceeded, FriezeTable, build_dissection,
                       make_context, matching_sum, parse_dissection_text,
                       polygon, quiddity_new, quiddity_of, sign_of,
                       weigh_matching)
-from artifact.cli import (_SUITES, random_polygon_dissection, random_quiddity,
-                          random_quotient_cycle, random_witness)
+from artifact.suites import (SUITES, random_polygon_dissection,
+                             random_quiddity, random_quotient_cycle,
+                             random_witness)
 from artifact import is_skeletal_quiddity, realizability_test
 
 from conftest import ANNULUS_334_TEXT, cyc_eq, cyc_eq_either, random_disc
@@ -33,7 +34,7 @@ def ints(ctx, *v):
 
 def run_suite(name, count, seed=20260824):
     out = io.StringIO()
-    fails = _SUITES[name](random.Random(seed), count, out)
+    fails = SUITES[name](random.Random(seed), count, out)
     assert fails == 0, (name, out.getvalue())
 
 
@@ -371,7 +372,7 @@ def test_criterion_7_chebyshev_kernel():
 
 def test_criterion_8_positivity_sweep():
     out = io.StringIO()
-    fails = _SUITES["positivity-sweep"](random.Random(13), 300, out)
+    fails = SUITES["positivity-sweep"](random.Random(13), 300, out)
     print("positivity sweep over 300 quotient-realizable cycles:")
     print(out.getvalue())
     assert fails == 0, out.getvalue()

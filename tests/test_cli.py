@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact import parse_dissection_text
-from artifact.cli import dispatch, parse_quiddity_text
+from artifact.cli import dispatch
+from artifact.frieze import parse_quiddity_text
 
 from conftest import ANNULUS_334_TEXT
 

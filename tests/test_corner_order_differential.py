@@ -31,7 +31,7 @@ import pytest
 from artifact import (Arc, annulus, classify_realizability, dissection_power,
                       glue_ears, parse_dissection_text, polygon,
                       punctured_disc, quiddity_new)
-from artifact.cli import random_polygon_dissection, random_witness
+from artifact.suites import random_polygon_dissection, random_witness
 from artifact.surface import Dissection, Face, _translate_vertex
 
 import test_dissection_oracle

@@ -34,11 +34,13 @@ than one identification.
 
 Limits: the search shares the arc model, the face sweep and the corner
 count with ``artifact.surface``, so what is independent of the classifier
-is the search, not the surface model.
+is the search, not the surface model.  The search itself is checked on
+the polygons, where its arc sets are counted by the Kirkman-Cayley numbers.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -89,22 +91,17 @@ def _candidates(s):
             for b in range(1, m + 1) for t in (0, 1)] + peri
 
 
-def dissections(s):
-    """Every dissection of s with faces of sizes 3, 4 and 5.  A face has
-    size >= 3, so a polygon has at most n - 3 arcs, a disc n and an
-    annulus n + m."""
+def arc_sets(s):
+    """Every set of pairwise non-crossing candidate arcs of s that is not
+    too large to be a dissection's: a face has size >= 3, so a polygon has
+    at most n - 3 arcs, a disc n and an annulus n + m."""
     arcs = _candidates(s)
     most = s.n - 3 if s.kind == "polygon" else s.n + s.m
     apart = [[not _crosses(s, u, v) for v in arcs] for u in arcs]
     chosen = []
 
     def walk(start):
-        try:
-            D = Dissection(s, [arcs[i] for i in chosen])
-        except ValueError:
-            D = None
-        if D is not None and all(f.size <= 5 for f in D.base_faces):
-            yield D
+        yield [arcs[i] for i in chosen]
         if len(chosen) == most:
             return
         for i in range(start, len(arcs)):
@@ -114,6 +111,17 @@ def dissections(s):
                 chosen.pop()
 
     return walk(0)
+
+
+def dissections(s):
+    """Every dissection of s with faces of sizes 3, 4 and 5."""
+    for arcs in arc_sets(s):
+        try:
+            D = Dissection(s, arcs)
+        except ValueError:
+            continue
+        if all(f.size <= 5 for f in D.base_faces):
+            yield D
 
 
 def surfaces():
@@ -144,6 +152,26 @@ SHORT = [A for n in (1, 2, 3)
 @pytest.fixture(scope="module")
 def found():
     return outer_quiddities()
+
+
+def test_the_polygon_search_lists_every_dissected_polygon_once():
+    """Without its face-size filter, the search lists the sets of k
+    pairwise non-crossing diagonals of an n-gon, and there are C(n-3, k)
+    C(n+k-1, k) / (k+1) of them (Kirkman and Cayley; Przytycki and Sikora
+    2000): 1, 3, 11, 45, 197, 903 and 4,279 in all for n = 3-9.  Each is
+    a dissection, so ``Dissection`` must accept it."""
+    total = 0
+    for n in range(3, 10):
+        counts, seen = Counter(), set()
+        for arcs in arc_sets(polygon(n)):
+            Dissection(polygon(n), arcs)
+            counts[len(arcs)] += 1
+            seen.add(frozenset(arcs))
+        assert counts == {k: comb(n - 3, k) * comb(n + k - 1, k) // (k + 1)
+                          for k in range(n - 2)}, n
+        assert len(seen) == counts.total()
+        total += len(seen)
+    assert total == 5439
 
 
 def test_every_dissection_classifies_with_its_surface_kind(found):

@@ -30,8 +30,8 @@ from artifact import (Arc, annulus, dissection_power, glue_ears,
                       parse_dissection_text, polygon, punctured_disc,
                       rotate_dissection)
 from artifact import surface as surface_module
-from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
-                          random_witness)
+from artifact.suites import (random_polygon_dissection,
+                             random_quotient_cycle, random_witness)
 from artifact.realize import _classify
 from artifact.surface import (Dissection, Face, _INF, _check_nesting,
                               _normal_face, _translate_vertex, chords_cross)

@@ -111,7 +111,7 @@ def test_infinite_extension_of_pentagon_frieze(pentagon_24_25):
 
 
 def test_unimodular_rule_random(rng):
-    from artifact.cli import random_free_quiddity
+    from artifact.suites import random_free_quiddity
     for _ in range(30):
         Q = random_free_quiddity(rng)
         F = FriezeTable(Q)
@@ -125,7 +125,7 @@ def test_unimodular_rule_random(rng):
 
 def test_glide_symmetry_of_finite_friezes(rng):
     # m_{i,j} = m_{j,i+n} for friezes from dissected polygons
-    from artifact.cli import random_polygon_dissection
+    from artifact.suites import random_polygon_dissection
     for _ in range(20):
         D = random_polygon_dissection(rng)
         Q = quiddity_of(D)
@@ -137,7 +137,7 @@ def test_glide_symmetry_of_finite_friezes(rng):
 
 
 def test_growth_recurrence(rng):
-    from artifact.cli import random_witness
+    from artifact.suites import random_witness
     for _ in range(8):
         Q, _cls = random_witness(rng, ("punctured_disc", "annulus"))
         F = FriezeTable(Q)
@@ -159,7 +159,7 @@ def test_growth_undefined_for_finite():
 
 
 def test_cut_and_glue_are_inverse(rng):
-    from artifact.cli import random_quiddity
+    from artifact.suites import random_quiddity
     for _ in range(100):
         Q = random_quiddity(rng)
         p = rng.choice([3, 4, 5, 6])

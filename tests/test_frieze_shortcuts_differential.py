@@ -22,8 +22,9 @@ import random
 import pytest
 
 from artifact import FriezeTable, check_positivity, quiddity_new, quiddity_of
-from artifact.cli import parse_quiddity_text, random_polygon_dissection
+from artifact.frieze import parse_quiddity_text
 from artifact.ring import make_context, sign_of
+from artifact.suites import random_polygon_dissection
 
 from frieze_oracle import (KernelRows, assert_positivity_decided,
                            first_nonpositive, sweep_cycles)

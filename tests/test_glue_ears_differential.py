@@ -18,8 +18,8 @@ from artifact import (Arc, Dissection, Surface, classify_realizability, cut,
                       parse_dissection_text, quiddity_new, quiddity_of,
                       rotate_dissection, valid_pchoices,
                       witness_nonuniqueness_probe)
-from artifact.cli import (random_polygon_dissection, random_quotient_cycle,
-                          random_witness)
+from artifact.suites import (random_polygon_dissection,
+                             random_quotient_cycle, random_witness)
 from artifact import realize
 from artifact.realize import _classify, _classify_core, _construct
 from artifact.surface import QuotientDissection, _normal_face

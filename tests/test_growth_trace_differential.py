@@ -29,8 +29,7 @@ import pytest
 from artifact import (FriezeTable, check_positivity, dispatch,
                       growth_coefficient, growth_coefficients)
 from artifact import frieze as frieze_module
-from artifact.cli import parse_quiddity_text
-from artifact.frieze import quiddity_new
+from artifact.frieze import parse_quiddity_text, quiddity_new
 from artifact.ring import sign_of
 
 from frieze_oracle import (KernelRows, assert_positivity_decided,

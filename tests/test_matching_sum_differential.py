@@ -15,7 +15,7 @@ from artifact import (BudgetExceeded, FriezeTable, classify_realizability,
                       growth_coefficient, growth_via_annulus_weight,
                       matching_sum, parse_dissection_text, quiddity_new,
                       quiddity_of, weigh_matching)
-from artifact.cli import random_quotient_cycle, random_witness
+from artifact.suites import random_quotient_cycle, random_witness
 from golden.record import HERE
 
 # windows checked exhaustively have at most SMALL matchings; single wider

@@ -73,7 +73,7 @@ def test_pentagon_windows_beyond_the_finite_band(pentagon_24_25):
 
 
 def test_entry_equals_local_sum_random(rng):
-    from artifact.cli import random_witness
+    from artifact.suites import random_witness
     for _ in range(15):
         Q, cls = random_witness(
             rng, ("polygon", "punctured_disc", "annulus"))
@@ -89,7 +89,7 @@ def test_entry_equals_local_sum_random(rng):
 
 
 def test_entry_equals_local_sum_on_quotients(rng):
-    from artifact.cli import random_quotient_cycle
+    from artifact.suites import random_quotient_cycle
     for _ in range(10):
         Q, cls = random_quotient_cycle(rng)
         D = cls.witness
@@ -106,7 +106,7 @@ def test_entry_equals_local_sum_on_quotients(rng):
 def test_annulus_mode_restrictions(annulus_334):
     with pytest.raises(ValueError):
         matching_sum(annulus_334, 0, 3, "annulus")   # not a full period
-    from artifact.cli import random_quotient_cycle
+    from artifact.suites import random_quotient_cycle
     import random
     Q, cls = random_quotient_cycle(random.Random(1))
     with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ def test_growth_via_annulus_weight(annulus_334):
 
 
 def test_growth_weight_random(rng):
-    from artifact.cli import random_witness
+    from artifact.suites import random_witness
     cases = [random_witness(rng, ("punctured_disc", "annulus"))
              for _ in range(6)]
     cases += [random_disc(rng) for _ in range(5)]
@@ -159,7 +159,7 @@ def test_growth_weight_random(rng):
 def test_inner_outer_consistency(annulus_334, rng):
     equal, s_out, s_in = inner_outer_consistency(annulus_334)
     assert equal and format(s_out) == format(s_in)
-    from artifact.cli import random_witness
+    from artifact.suites import random_witness
     for _ in range(6):
         _Q, cls = random_witness(rng, ("annulus",))
         equal, s_out, s_in = inner_outer_consistency(cls.witness)

@@ -19,7 +19,7 @@ from artifact import (Arc, BudgetExceeded, build_dissection,
                       enumerate_matchings, nonzero_traditional_matchings,
                       parse_dissection_text, phi_bijection, polygon,
                       weigh_matching)
-from artifact.cli import random_polygon_dissection
+from artifact.suites import random_polygon_dissection
 from artifact.matchings import _choice_lists
 from artifact.surface import chords_cross
 from golden.record import CASES, HERE
@@ -151,7 +151,7 @@ def test_phi_refuses_before_any_tpath(monkeypatch):
 
 
 def test_quotients_are_refused():
-    from artifact.cli import random_quotient_cycle
+    from artifact.suites import random_quotient_cycle
     _Q, cls = random_quotient_cycle(random.Random(5))
     with pytest.raises(ValueError):
         list(nonzero_traditional_matchings(cls.witness, 0, 3))

@@ -1,5 +1,6 @@
-"""Differential test of ``cli.parse_quiddity_text`` against the character
-loop it puts a regex pass in front of.
+"""Differential test of ``frieze.parse_quiddity_text``, the cycle reader of
+the command line, against the character loop it puts a regex pass in front
+of.
 
 ``parse_quiddity_text`` reads a well-formed line with one ``fullmatch`` and
 builds the cycle from the multiset bodies; anything the regex pass cannot
@@ -18,8 +19,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artifact.cli import parse_quiddity_text
-from artifact.frieze import quiddity_new
+from artifact.frieze import parse_quiddity_text, quiddity_new
 
 from test_cli import TOKENS
 
@@ -137,10 +137,10 @@ def test_a_size_past_the_int_digit_limit_reports_the_first_error():
 
 
 def test_a_well_formed_line_does_not_reach_the_character_loop(monkeypatch):
-    from artifact import cli
+    from artifact import frieze
 
     def refuse(A):
         raise AssertionError("character loop reached")
-    monkeypatch.setattr(cli, "quiddity_new", refuse)
+    monkeypatch.setattr(frieze, "quiddity_new", refuse)
     assert parse_quiddity_text(" [3,4]\t[4] [4,3,3] ").A == (
         (3, 4), (4,), (3, 3, 4))

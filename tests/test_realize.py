@@ -92,7 +92,7 @@ def test_skeletal_realize_wheel():
 
 
 def test_disc_iff_growth_two(rng):
-    from artifact.cli import random_witness
+    from artifact.suites import random_witness
     cases = [random_witness(rng, ("punctured_disc", "annulus"))
              for _ in range(12)]
     cases += [random_disc(rng) for _ in range(5)]
@@ -194,7 +194,7 @@ def test_skeletal_coverage_random(rng):
     # every skeletal cycle passing the quiddity-level test classifies as
     # realizable (possibly by a quotient), never unrealizable
     from artifact import is_skeletal_quiddity, realizability_test
-    from artifact.cli import random_quiddity
+    from artifact.suites import random_quiddity
     tried = 0
     while tried < 200:
         Q = random_quiddity(rng)
@@ -208,7 +208,7 @@ def test_skeletal_coverage_random(rng):
 
 
 def test_quotient_roundtrip_random(rng):
-    from artifact.cli import random_quotient_cycle
+    from artifact.suites import random_quotient_cycle
     for _ in range(40):
         Q, cls = random_quotient_cycle(rng)
         assert list(quiddity_of(cls.witness).A) == list(Q.A)

@@ -16,9 +16,9 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from artifact.cli import parse_quiddity_text, random_quiddity
-from artifact.frieze import _cut_in_place
+from artifact.frieze import _cut_in_place, parse_quiddity_text
 from artifact.realize import _reduce
+from artifact.suites import random_quiddity
 
 from golden.record import CASES, HERE
 

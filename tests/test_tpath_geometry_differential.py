@@ -12,7 +12,7 @@ import random
 import pytest
 
 from artifact import parse_dissection_text
-from artifact.cli import random_polygon_dissection
+from artifact.suites import random_polygon_dissection
 from artifact.tpaths import PolygonGeometry, _left_counts, _tpaths
 from golden.record import CASES, HERE
 

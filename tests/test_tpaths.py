@@ -68,7 +68,7 @@ def test_phi_bijection_fixed(hexagon_13_35, pentagon_24_25):
 
 
 def test_phi_bijection_random(rng):
-    from artifact.cli import random_polygon_dissection
+    from artifact.suites import random_polygon_dissection
     for _ in range(12):
         D = random_polygon_dissection(rng)
         n = D.surface.n
@@ -148,7 +148,7 @@ def recursive_tpaths(D, i, j, kind):
 
 
 def test_walks_keep_the_recursive_order(rng, hexagon_13_35, pentagon_24_25):
-    from artifact.cli import random_polygon_dissection
+    from artifact.suites import random_polygon_dissection
     # three 12-gons: a step may take any of a subgon's 66 chords
     dissections = [hexagon_13_35, pentagon_24_25,
                    parse_dissection_text(fan_text(9)),

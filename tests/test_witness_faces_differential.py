@@ -31,7 +31,7 @@ from artifact import (classify_realizability, dissection_power,
                       format_dissection, glue_ear, glue_ears,
                       parse_dissection_text, polygon, quiddity_new,
                       rotate_dissection, witness_nonuniqueness_probe)
-from artifact.cli import random_quotient_cycle
+from artifact.suites import random_quotient_cycle
 from artifact.realize import (_classify, _classify_core, _construct,
                               _fewest_clashes, all_pchoices)
 from artifact.surface import Dissection
